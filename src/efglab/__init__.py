@@ -21,9 +21,8 @@ from .values import (CF, FEEDBACK_KINDS, QVALUE, TRAJQ, FeedbackBundle,
 from .solvers import (GameConstants, ScheduleReport, SolverParams,
                       SolverState, average_profile, cfr_plus_step, cfr_step,
                       check_m_bounds, game_constants, lazy_catch_up,
-                      lazy_qfr_step, lr_schedule, mmd_step,
-                      mmd_stochastic_step, os_mccfr_step, pga_step,
-                      qfr_full_step, qfr_lazy_eager_step,
+                      lazy_qfr_step, lr_schedule, mmd_step, os_mccfr_step,
+                      pga_step, qfr_full_step, qfr_lazy_eager_step,
                       qfr_stochastic_step, schedule_report)
 from .evaluate import (best_response, bregman_to_reference,
                        compute_reference, exploitability,

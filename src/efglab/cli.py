@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from .evaluate import best_response, exploitability
-from .game import gamma_lower_bound, uniform_profile
+from .game import gamma_lower_bound, uniform_profile, validate_profile
 from .harness import ALGOS, RunConfig, grid, resolve_game, run
 from .solvers import game_constants, lr_schedule, schedule_report
 
@@ -100,7 +100,9 @@ def main(argv=None):
         ranked, best = grid(args.spec)
         print(f"cells: {len(ranked)}")
         print(f"best: eta={best['eta']} tau={best['tau']} "
-              f"gamma={best['gamma']} expl={best['expl']:.6g}")
+              f"gamma={best['gamma']} expl={best['expl']:.6g}"
+              + (" (diverged: every cell is non-finite)"
+                 if best["diverged"] else ""))
         return 0
 
     if args.command == "constants":
@@ -143,9 +145,14 @@ def main(argv=None):
     if args.command == "bestresp":
         tree = resolve_game(args.game)
         if args.profile:
-            with open(args.profile) as f:
-                profile = [np.asarray(x, dtype=np.float64)
-                           for x in json.load(f)]
+            try:
+                with open(args.profile) as f:
+                    profile = [np.asarray(x, dtype=np.float64)
+                               for x in json.load(f)]
+                validate_profile(tree, profile)
+            except (ValueError, TypeError) as e:
+                print(f"error: {args.profile}: {e}", file=sys.stderr)
+                return 2
         else:
             profile = uniform_profile(tree)
         v1, _ = best_response(tree, profile, 1)

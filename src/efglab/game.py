@@ -385,6 +385,8 @@ def validate_profile(tree, profile, atol=1e-9):
         x = np.asarray(profile[si])
         if x.shape != (s.num_actions,):
             raise ValueError(f"profile[{si}]: wrong shape")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"profile[{si}]: non-finite entries")
         if np.any(x < -atol) or abs(x.sum() - 1.0) > atol:
             raise ValueError(f"profile[{si}]: not a distribution")
 
@@ -546,7 +548,8 @@ def dump_game(tree):
             acts.append(act)
         doc["actions"] = acts
         nodes.append(doc)
-    return {"name": tree.name, "nodes": nodes, "root": tree.root}
+    return {"name": tree.name, "nodes": nodes, "root": tree.root,
+            "utility_scale": float(tree.utility_scale)}
 
 
 def save_game(tree, path):
@@ -666,8 +669,9 @@ def load_game(source):
         raise GameFormatError("game has no decision nodes")
     infosets = [Infoset(*infoset_meta[i]) for i in range(n_sets)]
 
-    try:
-        return GameTree(name, nodes, infosets,
-                        utility_scale=float(doc.get("utility_scale", 1.0)))
-    except GameValidationError:
-        raise
+    scale = doc.get("utility_scale", 1.0)
+    if (not isinstance(scale, (int, float)) or isinstance(scale, bool)
+            or not np.isfinite(scale) or scale <= 0.0):
+        raise GameFormatError(
+            f"'utility_scale' must be a positive number, got {scale!r}")
+    return GameTree(name, nodes, infosets, utility_scale=float(scale))

@@ -241,7 +241,9 @@ def grid(spec):
     optional "grid" entry with lists for eta/tau/gamma (defaults to the
     standard grid). Cells are ranked by final-iterate exploitability
     averaged over the repetitions' seeds; ties break lexicographically on
-    (eta, tau, gamma). Returns (cells, best) where each cell is a dict.
+    (eta, tau, gamma). Cells whose exploitability is not finite are marked
+    "diverged" and ranked last. Returns (cells, best) where each cell is a
+    dict.
     """
     if isinstance(spec, str):
         with open(spec) as f:
@@ -268,10 +270,14 @@ def grid(spec):
     else:
         metrics = [_cell_worker((c, None)) for c in cells]
 
-    results = [{"eta": c.eta, "tau": c.tau, "gamma": c.gamma, "expl": m}
+    results = [{"eta": c.eta, "tau": c.tau, "gamma": c.gamma, "expl": m,
+                "diverged": not np.isfinite(m)}
                for c, m in zip(cells, metrics)]
-    ranked = sorted(results,
-                    key=lambda r: (r["expl"], r["eta"], r["tau"], r["gamma"]))
+    # A non-finite exploitability has no rank: diverged cells go last, in
+    # parameter order.
+    ranked = sorted(results, key=lambda r: (
+        r["diverged"], 0.0 if r["diverged"] else r["expl"], r["eta"],
+        r["tau"], r["gamma"]))
     if out_path:
         with open(out_path, "w", newline="") as f:
             w = csv.writer(f, lineterminator="\n")

@@ -13,9 +13,8 @@ import numpy as np
 
 from .game import (PLAYER1, PLAYER2, exploration_distribution,
                    gamma_lower_bound, unflatten_profile)
-from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex, local_psi,
-                           prox_batch, prox_euclidean_batch, prox_step,
-                           project_truncated_simplex)
+from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex, prox_batch,
+                           prox_euclidean_batch, project_truncated_simplex)
 from .values import (CF, QVALUE, TRAJQ, estimate_trajectory_q, feedback_flat,
                      reach_flat, sample_trajectory)
 
@@ -106,7 +105,6 @@ class SolverState:
         mu1, mu2, muc = reach_flat(tree, self.cur)
         fm = tree.first_member
         own = np.where(tree.infoset_owner == PLAYER1, mu1[fm], mu2[fm])
-        self.init_own_reach = own
         self.last_tau0 = params.effective_tau(0) * own
 
     def profile(self, tree):
@@ -126,10 +124,15 @@ def local_tau0(params, tau, m, opp_reach, own_reach):
     return tau * opp_reach * own_reach
 
 
-def _batched_update(state, tree, params, g_flat, tau0, optimistic=True,
-                    center=None):
-    """Apply the (optionally optimistic) prox update at every infoset."""
+def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None):
+    """Apply the (optionally optimistic) prox update at every infoset, or
+    only at the infosets where the boolean mask `rows` is set."""
     for idx, pairs, NU in params.groups:
+        if rows is not None:
+            sel = rows[idx]
+            if not sel.any():
+                continue
+            idx, pairs, NU = idx[sel], pairs[sel], NU[sel]
         G = g_flat[pairs]
         t0, et, al, gm = (tau0[idx], params.eta[idx], params.alpha[idx],
                           params.gamma[idx])
@@ -140,9 +143,8 @@ def _batched_update(state, tree, params, g_flat, tau0, optimistic=True,
             state.bar[pairs] = barn
             state.cur[pairs] = curn
         else:
-            src = state.cur if center is None else center
-            state.cur[pairs] = prox_batch(params.family, src[pairs], G, t0,
-                                          et, al, gm, NU)
+            state.cur[pairs] = prox_batch(params.family, state.cur[pairs], G,
+                                          t0, et, al, gm, NU)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +162,7 @@ def qfr_full_step(state, tree, params):
     q_flat, m, ownr, oppr, _ = feedback_flat(
         tree, state.cur, params.feedback, tau, params.alpha, params.family)
     tau0 = local_tau0(params, tau, m, oppr, ownr)
-    _batched_update(state, tree, params, -q_flat, tau0, optimistic=True)
+    _batched_update(state, params, -q_flat, tau0)
     state.t += 1
     state.last_seen[:] = state.t
     return m
@@ -173,7 +175,7 @@ def mmd_step(state, tree, params):
     q_flat, m, ownr, oppr, _ = feedback_flat(
         tree, state.cur, params.feedback, tau, params.alpha, params.family)
     tau0 = local_tau0(params, tau, m, oppr, ownr)
-    _batched_update(state, tree, params, -q_flat, tau0, optimistic=False)
+    _batched_update(state, params, -q_flat, tau0, optimistic=False)
     state.t += 1
     return m
 
@@ -315,14 +317,14 @@ def os_mccfr_step(state, tree, params, rng):
 # Stochastic and lazy optimistic steps
 
 
-def _local_two_prox(state, params, si, g, tau0):
-    sx = params.simplexes[si]
-    barn = prox_step(state.bar_views[si], g, tau0, params.eta[si],
-                     params.alpha[si], params.family, sx)
-    curn = prox_step(barn, g, tau0, params.eta[si], params.alpha[si],
-                     params.family, sx)
-    state.bar_views[si][:] = barn
-    state.cur_views[si][:] = curn
+def _one_hot_gradient(tree, est):
+    """Flat negated one-hot estimates, and the mask of estimated infosets."""
+    g = np.zeros(tree.num_pairs)
+    visited = np.zeros(tree.num_infosets, dtype=bool)
+    for si, (a, v) in est.items():
+        g[tree.infoset_offset[si] + a] = -v
+        visited[si] = True
+    return g, visited
 
 
 def qfr_stochastic_step(state, tree, params, rng=None, traj=None):
@@ -338,39 +340,64 @@ def qfr_stochastic_step(state, tree, params, rng=None, traj=None):
         traj = sample_trajectory(tree, state.cur_views, rng)
     est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
                                 params.alpha, params.family)
-    for si, (a, v) in est.items():
-        g = np.zeros(tree.actions_per_infoset[si])
-        g[a] = -v
-        _local_two_prox(state, params, si, g, tau)
+    g, visited = _one_hot_gradient(tree, est)
+    _batched_update(state, params, g, np.full(tree.num_infosets, tau),
+                    rows=visited)
     state.t += 1
-    for si in est:
-        state.last_seen[si] = state.t
+    state.last_seen[visited] = state.t
     return traj
 
 
-def _zero_feedback_steps(state, params, si, count):
-    """Regularizer-only catch-up steps with the frozen local weight."""
-    if count <= 0:
-        return
-    tau0 = state.last_tau0[si]
-    if tau0 == 0.0:
-        # No regularizer pull: the zero-feedback update is the identity.
-        return
-    g = np.zeros(state.cur_views[si].shape[0])
-    for _ in range(count):
-        _local_two_prox(state, params, si, g, tau0)
+def _replay_pending(state, params, sel, t_now):
+    """Catch the infosets `sel` (an index, index array or slice) up to
+    iteration t_now with regularizer-only steps at their frozen local
+    weights.
+
+    The replay runs in lock-step: step j moves every row with more than j
+    steps pending, so each row goes through the same sequence of prox
+    solves as when replayed alone. A row whose frozen weight is 0 has no
+    regularizer pull; its zero-feedback step is the identity and is skipped.
+    """
+    pending = np.zeros(state.last_seen.shape[0], dtype=np.int64)
+    pending[sel] = t_now - state.last_seen[sel]
+    pending[state.last_tau0 == 0.0] = 0
+    state.last_seen[sel] = t_now
+    zero = np.zeros_like(state.cur)
+    for j in range(pending.max()):
+        _batched_update(state, params, zero, state.last_tau0,
+                        rows=pending > j)
 
 
-def _traj_own_reach(tree, traj, state, upto):
-    """Product of the acting player's own probabilities before step upto,
-    read from the state's current (caught-up) strategies."""
-    p = tree.nodes[traj.nodes[upto]].owner
-    prod = 1.0
-    for k in range(upto):
-        nd = tree.nodes[traj.nodes[k]]
-        if not nd.is_chance and nd.owner == p:
-            prod *= state.cur_views[nd.infoset][traj.actions[k]]
-    return prod
+class _CatchUpOnRead:
+    """Profile for sampling a lazy trajectory: reading an infoset's
+    strategy first replays its pending zero-feedback steps."""
+
+    def __init__(self, state, params):
+        self.state = state
+        self.params = params
+
+    def __getitem__(self, si):
+        _replay_pending(self.state, self.params, si, self.state.t)
+        return self.state.cur_views[si]
+
+
+def _lazy_feedback(state, tree, params, traj, tau):
+    """Estimates and local weights of a lazy real update.
+
+    Returns the flat one-hot gradient and the visited mask, and sets
+    last_tau0 at every visited infoset to tau / m_s = tau *
+    own_reach(sigma(s)), read from the strategies before this step's
+    updates.
+    """
+    est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
+                                params.alpha, params.family, dilated=True)
+    reach = {PLAYER1: 1.0, PLAYER2: 1.0}
+    for node, a in zip(traj.nodes, traj.actions):
+        nd = tree.nodes[node]
+        if not nd.is_chance:
+            state.last_tau0[nd.infoset] = tau * reach[nd.owner]
+            reach[nd.owner] *= state.cur_views[nd.infoset][a]
+    return _one_hot_gradient(tree, est)
 
 
 def lazy_qfr_step(state, tree, params, rng=None, traj=None):
@@ -380,58 +407,17 @@ def lazy_qfr_step(state, tree, params, rng=None, traj=None):
     pending steps via timestamps. Estimates use the own-regularizer-only
     (dilated) augmentation. Equivalent to qfr_lazy_eager_step given the
     same trajectories."""
-    t_now = state.t
-    tau = params.effective_tau(t_now)
+    tau = params.effective_tau(state.t)
     if traj is None:
-        # Sample step by step, catching infosets up before reading them.
-        node = tree.root
-        nodes, actions, sp, tp = [], [], [], []
-        while True:
-            nd = tree.nodes[node]
-            if nd.is_terminal:
-                nodes.append(node)
-                from .values import Trajectory
-                traj = Trajectory(nodes, actions, sp, tp, nd.utility)
-                break
-            if nd.is_chance:
-                probs = nd.chance_probs
-            else:
-                si = nd.infoset
-                _zero_feedback_steps(state, params, si,
-                                     t_now - state.last_seen[si])
-                state.last_seen[si] = t_now
-                probs = state.cur_views[si]
-            a = _sample_index_local(rng, probs)
-            nodes.append(node)
-            actions.append(a)
-            sp.append(float(probs[a]))
-            tp.append(float(probs[a]))
-            node = nd.children[a]
+        traj = sample_trajectory(tree, _CatchUpOnRead(state, params), rng)
     else:
-        for k in range(traj.num_steps):
-            nd = tree.nodes[traj.nodes[k]]
-            if not nd.is_chance:
-                si = nd.infoset
-                _zero_feedback_steps(state, params, si,
-                                     t_now - state.last_seen[si])
-                state.last_seen[si] = t_now
-
-    est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
-                                params.alpha, params.family, dilated=True)
-    order = {}
-    for k in range(traj.num_steps):
-        nd = tree.nodes[traj.nodes[k]]
-        if not nd.is_chance and nd.infoset not in order:
-            order[nd.infoset] = k
-    for si, (a, v) in est.items():
-        tau0 = tau * _traj_own_reach(tree, traj, state, order[si])
-        g = np.zeros(tree.actions_per_infoset[si])
-        g[a] = -v
-        _local_two_prox(state, params, si, g, tau0)
-        state.last_tau0[si] = tau0
+        visits = [tree.nodes[h].infoset for h in traj.nodes[:-1]
+                  if not tree.nodes[h].is_chance]
+        _replay_pending(state, params, visits, state.t)
+    g, visited = _lazy_feedback(state, tree, params, traj, tau)
+    _batched_update(state, params, g, state.last_tau0, rows=visited)
     state.t += 1
-    for si in est:
-        state.last_seen[si] = state.t
+    state.last_seen[visited] = state.t
     return traj
 
 
@@ -442,22 +428,11 @@ def qfr_lazy_eager_step(state, tree, params, rng=None, traj=None):
     tau = params.effective_tau(state.t)
     if traj is None:
         traj = sample_trajectory(tree, state.cur_views, rng)
-    est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
-                                params.alpha, params.family, dilated=True)
-    order = {}
-    for k in range(traj.num_steps):
-        nd = tree.nodes[traj.nodes[k]]
-        if not nd.is_chance and nd.infoset not in order:
-            order[nd.infoset] = k
-    for si, (a, v) in est.items():
-        tau0 = tau * _traj_own_reach(tree, traj, state, order[si])
-        g = np.zeros(tree.actions_per_infoset[si])
-        g[a] = -v
-        _local_two_prox(state, params, si, g, tau0)
-        state.last_tau0[si] = tau0
-    for si in range(tree.num_infosets):
-        if si not in est:
-            _zero_feedback_steps(state, params, si, 1)
+    g, visited = _lazy_feedback(state, tree, params, traj, tau)
+    # Unvisited rows have zero gradient and keep their frozen weight; those
+    # whose weight is 0 would not move.
+    _batched_update(state, params, g, state.last_tau0,
+                    rows=visited | (state.last_tau0 != 0.0))
     state.t += 1
     state.last_seen[:] = state.t
     return traj
@@ -465,39 +440,7 @@ def qfr_lazy_eager_step(state, tree, params, rng=None, traj=None):
 
 def lazy_catch_up(state, tree, params):
     """Apply all pending zero-feedback steps (e.g. before evaluation)."""
-    for si in range(tree.num_infosets):
-        _zero_feedback_steps(state, params, si,
-                             state.t - state.last_seen[si])
-        state.last_seen[si] = state.t
-
-
-def mmd_stochastic_step(state, tree, params, rng=None, traj=None):
-    """Trajectory-sampled mirror descent baseline (reconstructed): single
-    prox solve at visited infosets with constant local weight tau."""
-    tau = params.effective_tau(state.t)
-    if traj is None:
-        traj = sample_trajectory(tree, state.cur_views, rng)
-    est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
-                                params.alpha, params.family)
-    for si, (a, v) in est.items():
-        g = np.zeros(tree.actions_per_infoset[si])
-        g[a] = -v
-        sx = params.simplexes[si]
-        state.cur_views[si][:] = prox_step(
-            state.cur_views[si], g, tau, params.eta[si], params.alpha[si],
-            params.family, sx)
-    state.t += 1
-    return traj
-
-
-def _sample_index_local(rng, probs):
-    r = rng.random() * probs.sum()
-    acc = 0.0
-    for i in range(probs.shape[0] - 1):
-        acc += probs[i]
-        if r < acc:
-            return i
-    return probs.shape[0] - 1
+    _replay_pending(state, params, slice(None), state.t)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efglab.game import (CHANCE, PLAYER1, PLAYER2, GameValidationError,
+from efglab.game import (CHANCE, PLAYER1, PLAYER2, GameFormatError,
+                         GameValidationError,
                          Infoset, Node, dump_game, expected_utility,
                          expected_utility_traversal, exploration_distribution,
                          gamma_lower_bound, load_game, random_profile,
@@ -102,12 +103,20 @@ def test_load_rejects_bad_chance_sum():
 
 def test_kuhn_round_trip(kuhn, rng):
     tree = load_game(json.loads(json.dumps(dump_game(kuhn))))
+    assert tree.utility_scale == kuhn.utility_scale == 2.0
     assert tree.num_nodes == kuhn.num_nodes
     assert tree.num_infosets == kuhn.num_infosets
     assert np.allclose(tree.terminal_utils, kuhn.terminal_utils)
     prof = random_profile(kuhn, rng)
     assert expected_utility(tree, prof) == pytest.approx(
         expected_utility(kuhn, prof), abs=1e-14)
+
+
+@pytest.mark.parametrize("scale", [0.0, -2.0, float("nan"), "2", True])
+def test_load_rejects_bad_utility_scale(pennies, scale):
+    doc = {**dump_game(pennies), "utility_scale": scale}
+    with pytest.raises(GameFormatError, match="utility_scale"):
+        load_game(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +300,15 @@ def test_perturbation_floor_property(kuhn, rng):
         sf = to_sequence_form(kuhn, clamped, p)
         for si in kuhn.infoset_ids(p):
             assert np.all(sf.seq[si] >= bound - 1e-15)
+
+
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0],
+                                 [np.inf, -np.inf]])
+def test_validate_profile_rejects_non_finite(kuhn, row):
+    prof = uniform_profile(kuhn)
+    prof[3] = np.asarray(row)
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_profile(kuhn, prof)
 
 
 def test_matching_pennies_value(pennies):

@@ -124,6 +124,36 @@ def test_grid_ranks_and_keeps_divergent_cells():
     assert expl == sorted(expl)
 
 
+def test_grid_ranks_non_finite_cells_last(monkeypatch):
+    from efglab import harness
+
+    def fake_worker(args):
+        cfg, _ = args
+        return {0.1: float("nan"), 0.01: 0.5, 0.001: float("inf"),
+                0.0001: 0.25}[cfg.eta]
+
+    monkeypatch.setattr(harness, "_cell_worker", fake_worker)
+    spec = {"game": "kuhn", "algo": "qfr", "feedback": "q",
+            "grid": {"eta": [0.1, 0.01, 0.001, 0.0001], "tau": [0.01],
+                     "gamma": [0.01]}}
+    ranked, best = grid(spec)
+    assert [r["eta"] for r in ranked] == [0.0001, 0.01, 0.001, 0.1]
+    assert [r["diverged"] for r in ranked] == [False, False, True, True]
+    assert best["eta"] == 0.0001 and not best["diverged"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_grid_marks_a_diverged_best_cell(tmp_path, capsys):
+    spec_path = tmp_path / "g.json"
+    spec_path.write_text(json.dumps({
+        "game": "kuhn", "algo": "pga", "feedback": "cf", "iters": 5,
+        "eval_every": 5, "reg": "euclidean",
+        "grid": {"eta": [1e300], "tau": [0.0], "gamma": [0.01]}}))
+    assert cli_main(["grid", "--spec", str(spec_path)]) == 0
+    out = capsys.readouterr().out
+    assert "expl=nan (diverged" in out
+
+
 def test_grid_defaults_to_standard_values():
     assert PAPER_GRID["eta"] == [0.1, 0.01, 0.001, 0.0001]
     assert PAPER_GRID["tau"] == [0.1, 0.01, 0.001, 0.0001, 0.0]
@@ -217,3 +247,20 @@ def test_cli_bestresp_uniform_and_profile(tmp_path, capsys):
     assert rc == 0
     out2 = capsys.readouterr().out
     assert out.splitlines()[-1] == out2.splitlines()[-1]
+
+
+@pytest.mark.parametrize("row, message", [
+    ([1 / 3, 1 / 3, 1 / 3], "wrong shape"),
+    ([float("nan"), float("nan")], "non-finite"),
+])
+def test_cli_bestresp_rejects_malformed_profile(tmp_path, capsys, row,
+                                                message):
+    tree = resolve_game("kuhn")
+    prof = [row for _ in range(tree.num_infosets)]
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps(prof))
+    rc = cli_main(["bestresp", "--game", "kuhn", "--profile", str(p)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "exploitability" not in captured.out
