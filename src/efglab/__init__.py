@@ -2,17 +2,16 @@
 
 from .game import (CHANCE, PLAYER1, PLAYER2, GameError, GameFormatError,
                    GameTree, GameValidationError, Infoset, Node, dump_game,
-                   expected_utility, expected_utility_traversal,
-                   exploration_distribution, flatten_profile,
-                   gamma_lower_bound, load_game, random_profile,
-                   reach_probabilities, save_game, to_sequence_form,
-                   unflatten_profile, uniform_profile,
-                   validate_perfect_recall, validate_profile)
+                   expected_utility, exploration_distribution,
+                   flatten_profile, gamma_lower_bound, load_game,
+                   random_profile, save_game, unflatten_profile,
+                   uniform_profile, validate_perfect_recall,
+                   validate_profile)
 from .games import build_kuhn, build_leduc, build_matching_pennies
 from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                            argmax_regularized, bidilated_psi, bregman_local,
-                           bregman_tree, bregman_tree_direct, dilated_psi,
-                           full_simplex, local_psi, local_psi_grad,
+                           bregman_tree, dilated_psi, full_simplex,
+                           local_psi, local_psi_grad,
                            project_truncated_simplex, prox_entropy,
                            prox_euclidean, prox_step)
 from .values import (CF, FEEDBACK_KINDS, QVALUE, TRAJQ, FeedbackBundle,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .evaluate import best_response, exploitability
 from .game import gamma_lower_bound, uniform_profile, validate_profile
-from .harness import ALGOS, RunConfig, grid, resolve_game, run
+from .harness import ALGOS, CSV_FIELDS, RunConfig, grid, resolve_game, run
 from .solvers import game_constants, lr_schedule, schedule_report
 
 
@@ -94,6 +94,13 @@ def main(argv=None):
                  if last["expl_avg"] is not None else "")
               + (f" reg_gap={last['reg_gap']:.6g}"
                  if last["reg_gap"] is not None else ""))
+        for row in outcome.rows:
+            bad = [k for k in CSV_FIELDS
+                   if row[k] is not None and not np.isfinite(row[k])]
+            if bad:
+                print(f"error: non-finite {bad[0]} at seed {row['seed']} "
+                      f"iteration {row['iter']}", file=sys.stderr)
+                return 1
         return 0
 
     if args.command == "grid":
@@ -150,7 +157,7 @@ def main(argv=None):
                     profile = [np.asarray(x, dtype=np.float64)
                                for x in json.load(f)]
                 validate_profile(tree, profile)
-            except (ValueError, TypeError) as e:
+            except (OSError, ValueError, TypeError) as e:
                 print(f"error: {args.profile}: {e}", file=sys.stderr)
                 return 2
         else:

@@ -115,50 +115,28 @@ class GameTree:
         _validate_structure(self)
         _check_perfect_recall(self)
 
-        # Nodes grouped by depth, used for level-synchronous sweeps.
-        max_depth = max(n.depth for n in self.nodes)
-        levels = [[] for _ in range(max_depth + 1)]
-        for i, n in enumerate(self.nodes):
-            levels[n.depth].append(i)
-        self.levels = [np.asarray(l, dtype=np.int64) for l in levels]
-
         self._player_infosets = {
-            PLAYER1: [i for i, s in enumerate(self.infosets) if s.owner == PLAYER1],
-            PLAYER2: [i for i, s in enumerate(self.infosets) if s.owner == PLAYER2],
-        }
+            p: [i for i, s in enumerate(self.infosets) if s.owner == p]
+            for p in (PLAYER1, PLAYER2)}
 
         # Flat edge arrays grouped by parent depth (descending order is a
-        # backward value sweep; ascending is a forward reach sweep).
-        ep, ec, es, ea, ew = [], [], [], [], []
-        for i, n in enumerate(self.nodes):
-            for a, c in enumerate(n.children):
-                ep.append(i)
-                ec.append(c)
-                if n.is_chance:
-                    es.append(-1)
-                    ea.append(a)
-                    ew.append(n.chance_probs[a])
-                else:
-                    es.append(n.infoset)
-                    ea.append(a)
-                    ew.append(0.0)
-        self.edge_parent = np.asarray(ep, dtype=np.int64)
-        self.edge_child = np.asarray(ec, dtype=np.int64)
-        self.edge_infoset = np.asarray(es, dtype=np.int64)
-        self.edge_action = np.asarray(ea, dtype=np.int64)
-        self.edge_chance_prob = np.asarray(ew, dtype=np.float64)
+        # backward value sweep; ascending is a forward reach sweep). Chance
+        # edges have infoset -1; decision edges have chance probability 0.
+        edges = [(i, c, -1 if n.is_chance else n.infoset, a,
+                  n.chance_probs[a] if n.is_chance else 0.0)
+                 for i, n in enumerate(self.nodes)
+                 for a, c in enumerate(n.children)]
+        parent, child, infoset, action, prob = zip(*edges)
         depth_arr = np.asarray([n.depth for n in self.nodes], dtype=np.int64)
-        self.node_depth = depth_arr
-        order = np.argsort(depth_arr[self.edge_parent], kind="stable")
-        for attr in ("edge_parent", "edge_child", "edge_infoset",
-                     "edge_action", "edge_chance_prob"):
-            setattr(self, attr, getattr(self, attr)[order])
-        pd = depth_arr[self.edge_parent]
-        self.edge_level_slices = []
-        for d in range(max_depth + 1):
-            lo = np.searchsorted(pd, d, side="left")
-            hi = np.searchsorted(pd, d, side="right")
-            self.edge_level_slices.append((lo, hi))
+        order = np.argsort(depth_arr[list(parent)], kind="stable")
+        self.edge_parent = np.asarray(parent, dtype=np.int64)[order]
+        self.edge_child = np.asarray(child, dtype=np.int64)[order]
+        self.edge_infoset = np.asarray(infoset, dtype=np.int64)[order]
+        self.edge_action = np.asarray(action, dtype=np.int64)[order]
+        self.edge_chance_prob = np.asarray(prob, dtype=np.float64)[order]
+        bounds = np.searchsorted(depth_arr[self.edge_parent],
+                                 np.arange(depth_arr.max() + 2))
+        self.edge_level_slices = list(zip(bounds[:-1], bounds[1:]))
 
         self.terminal_ids = np.asarray(
             [i for i, n in enumerate(self.nodes) if n.is_terminal],
@@ -191,26 +169,6 @@ class GameTree:
                                        dtype=np.int64)
         self.infoset_owner = np.asarray([s.owner for s in self.infosets],
                                         dtype=np.int64)
-
-        # Static chance reach and player sequence indices per terminal,
-        # for the bilinear expected-utility path.
-        n_nodes = self.num_nodes
-        muc = np.ones(n_nodes)
-        sig = {PLAYER1: [None] * n_nodes, PLAYER2: [None] * n_nodes}
-        for i, n in enumerate(self.nodes):
-            for a, c in enumerate(n.children):
-                if n.is_chance:
-                    muc[c] = muc[i] * n.chance_probs[a]
-                else:
-                    muc[c] = muc[i]
-                for p in (PLAYER1, PLAYER2):
-                    if n.owner == p:
-                        sig[p][c] = (n.infoset, a)
-                    else:
-                        sig[p][c] = sig[p][i]
-        self.chance_reach = muc
-        self.sigma1 = sig[PLAYER1]
-        self.sigma2 = sig[PLAYER2]
 
 
 def _validate_structure(tree):
@@ -282,9 +240,12 @@ def _validate_structure(tree):
         n.parent_action = parent_action[i]
         n.depth = 0 if parent[i] == -1 else nodes[parent[i]].depth + 1
 
+    members = [[] for _ in tree.infosets]
+    for i, n in enumerate(nodes):
+        if not n.is_terminal and not n.is_chance:
+            members[n.infoset].append(i)
     for si, s in enumerate(tree.infosets):
-        s.members = [i for i, n in enumerate(nodes)
-                     if not n.is_terminal and not n.is_chance and n.infoset == si]
+        s.members = members[si]
         if not s.members:
             raise GameValidationError(f"infoset {si} has no member nodes")
         s.depth = max(nodes[i].depth for i in s.members)
@@ -315,7 +276,10 @@ def validate_perfect_recall(tree_or_nodes, infosets=None):
         nodes, infosets = tree_or_nodes.nodes, tree_or_nodes.infosets
     else:
         nodes = tree_or_nodes
-    hist = _own_histories(nodes)
+    return _recall_violations(_own_histories(nodes), infosets)
+
+
+def _recall_violations(hist, infosets):
     violations = []
     for si, s in enumerate(infosets):
         keys = {hist[s.owner][i] for i in s.members}
@@ -327,13 +291,12 @@ def validate_perfect_recall(tree_or_nodes, infosets=None):
 
 def _check_perfect_recall(tree):
     """Verify perfect recall and derive parent sequences and own depths."""
-    nodes = tree.nodes
-    violations = validate_perfect_recall(tree)
+    hist = _own_histories(tree.nodes)
+    violations = _recall_violations(hist, tree.infosets)
     if violations:
         raise GameValidationError(
             f"imperfect recall: infoset {violations[0]['infoset']} members "
             f"have distinct own-action histories (not supported)")
-    hist = _own_histories(nodes)
     for si, s in enumerate(tree.infosets):
         key = hist[s.owner][s.members[0]]
         s.parent_seq = key[-1] if key else None
@@ -392,89 +355,16 @@ def validate_profile(tree, profile, atol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# Sequence form and reach probabilities
-
-
-class SequenceFormStrategy:
-    """Sequence-form realization plan for one player.
-
-    seq[s][a] = product of the player's own action probabilities along the
-    unique own path ending with action a at infoset s. The empty sequence has
-    realization 1.
-    """
-
-    def __init__(self, tree, player, profile):
-        self.player = player
-        self.seq = [None] * tree.num_infosets
-        for si in tree.infoset_ids(player):
-            s = tree.infosets[si]
-            parent = self.realization(s.parent_seq)
-            self.seq[si] = parent * np.asarray(profile[si], dtype=np.float64)
-
-    def realization(self, sigma):
-        """Realization weight of a sequence (None = empty sequence)."""
-        if sigma is None:
-            return 1.0
-        si, a = sigma
-        return self.seq[si][a]
-
-
-def to_sequence_form(tree, profile, player):
-    return SequenceFormStrategy(tree, player, profile)
-
-
-def reach_probabilities(tree, profile):
-    """Per-node reach contributions (mu1, mu2, muc).
-
-    Entry i of each array is the product of the corresponding participant's
-    action probabilities on the path from the root to node i.
-    """
-    n = tree.num_nodes
-    mu1 = np.ones(n)
-    mu2 = np.ones(n)
-    muc = np.ones(n)
-    for i, node in enumerate(tree.nodes):
-        for a, c in enumerate(node.children):
-            mu1[c], mu2[c], muc[c] = mu1[i], mu2[i], muc[i]
-            if node.is_chance:
-                muc[c] *= node.chance_probs[a]
-            elif node.owner == PLAYER1:
-                mu1[c] *= profile[node.infoset][a]
-            else:
-                mu2[c] *= profile[node.infoset][a]
-    return mu1, mu2, muc
+# Expected utility
 
 
 def expected_utility(tree, profile):
-    """Player 1's expected utility, computed in sequence form.
-
-    Sums chance reach times both players' sequence realizations over
-    terminals; equals the path-product traversal value.
-    """
-    sf1 = to_sequence_form(tree, profile, PLAYER1)
-    sf2 = to_sequence_form(tree, profile, PLAYER2)
-    total = 0.0
-    for t, u in zip(tree.terminal_ids, tree.terminal_utils):
-        total += (tree.chance_reach[t] * sf1.realization(tree.sigma1[t])
-                  * sf2.realization(tree.sigma2[t]) * u)
-    return total
-
-
-def expected_utility_traversal(tree, profile):
-    """Player 1's expected utility by direct backward traversal."""
-    vals = np.zeros(tree.num_nodes)
-    for d in range(len(tree.levels) - 1, -1, -1):
-        for i in tree.levels[d]:
-            node = tree.nodes[i]
-            if node.is_terminal:
-                vals[i] = node.utility
-            elif node.is_chance:
-                vals[i] = float(np.dot(node.chance_probs,
-                                       vals[node.children]))
-            else:
-                vals[i] = float(np.dot(profile[node.infoset],
-                                       vals[node.children]))
-    return vals[tree.root]
+    """Player 1's expected utility: the sum over terminals of chance reach
+    times both players' reach times the utility."""
+    from .values import reach_flat
+    mu1, mu2, muc = reach_flat(tree, flatten_profile(tree, profile))
+    t = tree.terminal_ids
+    return float(np.sum(muc[t] * mu1[t] * mu2[t] * tree.terminal_utils))
 
 
 # ---------------------------------------------------------------------------

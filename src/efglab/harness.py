@@ -24,7 +24,7 @@ from .games import build_kuhn, build_leduc
 from .regularizers import ENTROPY
 from .solvers import (SolverParams, SolverState, average_profile,
                       check_m_bounds, game_constants, lazy_catch_up)
-from .values import TRAJQ, compute_feedback
+from .values import TRAJQ, infoset_reach, multiplier, reach_flat
 
 ALGOS = ("qfr", "qfr-stoch", "qfr-lazy", "pga", "cfr", "cfrplus", "osmccfr",
          "mmd")
@@ -113,9 +113,9 @@ def _eval_row(tree, cfg, params, state, seed, it, t0, reference, constants):
 
     violations = 0
     if constants is not None:
-        fb = compute_feedback(tree, state.cur_views, params.feedback,
-                              0.0, params.alpha)
-        violations = check_m_bounds(fb.m, constants)
+        reach = infoset_reach(tree, reach_flat(tree, state.cur))
+        violations = check_m_bounds(multiplier(params.feedback, *reach),
+                                    constants)
     return row, violations
 
 

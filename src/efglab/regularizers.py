@@ -15,6 +15,8 @@ chance-times-opponent reach.
 
 import numpy as np
 
+from .game import flatten_profile
+
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
 
@@ -92,22 +94,43 @@ def bregman_local(x, y, alpha, family):
     raise ValueError(f"unknown regularizer family {family!r}")
 
 
-def _alpha_at(alpha, si):
-    if np.isscalar(alpha):
-        return alpha
-    return alpha[si]
+def psi_flat(tree, flat, alpha, family):
+    """Local regularizer value of every infoset's distribution in a flat
+    pair array."""
+    n_sets = tree.num_infosets
+    if family == ENTROPY:
+        xs = np.clip(flat, _TINY, None)
+        inner = np.bincount(tree.pair_infoset, weights=flat * np.log(xs),
+                            minlength=n_sets)
+        return alpha * (np.log(tree.actions_per_infoset) + inner)
+    if family == EUCLIDEAN:
+        return alpha * 0.5 * np.bincount(tree.pair_infoset,
+                                         weights=flat * flat,
+                                         minlength=n_sets)
+    raise ValueError(f"unknown regularizer family {family!r}")
+
+
+def bregman_flat(tree, x, y, alpha, family):
+    """Local divergence D_psi(x_s, y_s) at every infoset, from flat pair
+    arrays."""
+    terms = bregman_local(x[:, None], y[:, None], 1.0, family)
+    return alpha * np.bincount(tree.pair_infoset, weights=terms,
+                               minlength=tree.num_infosets)
+
+
+def _player_reach(tree, flat, player):
+    """Own and opponent reach of the player's infosets."""
+    from .values import infoset_reach, reach_flat
+    own, opp = infoset_reach(tree, reach_flat(tree, flat))
+    mine = tree.infoset_owner == player
+    return mine, own[mine], opp[mine]
 
 
 def dilated_psi(tree, profile, player, alpha, family):
     """Reach-weighted sum of local regularizers over one player's infosets."""
-    from .game import to_sequence_form
-    sf = to_sequence_form(tree, profile, player)
-    total = 0.0
-    for si in tree.infoset_ids(player):
-        s = tree.infosets[si]
-        total += (sf.realization(s.parent_seq)
-                  * local_psi(profile[si], _alpha_at(alpha, si), family))
-    return total
+    flat = flatten_profile(tree, profile)
+    mine, own, _ = _player_reach(tree, flat, player)
+    return float(np.dot(own, psi_flat(tree, flat, alpha, family)[mine]))
 
 
 def bidilated_psi(tree, profile, player, alpha, family):
@@ -116,16 +139,10 @@ def bidilated_psi(tree, profile, player, alpha, family):
     Equals the sum over the player's decision nodes of the full reach
     probability of the node times the local regularizer at its infoset.
     """
-    from .game import reach_probabilities
-    mu1, mu2, muc = reach_probabilities(tree, profile)
-    opp = mu2 if player == 1 else mu1
-    own = mu1 if player == 1 else mu2
-    total = 0.0
-    for si in tree.infoset_ids(player):
-        psi = local_psi(profile[si], _alpha_at(alpha, si), family)
-        w = sum(muc[h] * opp[h] * own[h] for h in tree.infosets[si].members)
-        total += w * psi
-    return total
+    flat = flatten_profile(tree, profile)
+    mine, own, opp = _player_reach(tree, flat, player)
+    return float(np.dot(own * opp,
+                        psi_flat(tree, flat, alpha, family)[mine]))
 
 
 def bregman_tree(tree, profile, ref_profile, player, alpha, family):
@@ -134,49 +151,11 @@ def bregman_tree(tree, profile, ref_profile, player, alpha, family):
     Decomposed form: sum over the player's infosets of the first argument's
     sequence-form reach times the local divergence.
     """
-    from .game import to_sequence_form
-    sf = to_sequence_form(tree, profile, player)
-    total = 0.0
-    for si in tree.infoset_ids(player):
-        s = tree.infosets[si]
-        total += (sf.realization(s.parent_seq)
-                  * bregman_local(profile[si], ref_profile[si],
-                                  _alpha_at(alpha, si), family))
-    return total
-
-
-def bregman_tree_direct(tree, profile, ref_profile, player, alpha, family):
-    """Same divergence evaluated directly in sequence form.
-
-    Computes psi_tree(mu) - psi_tree(mu_ref) - <grad psi_tree(mu_ref),
-    mu - mu_ref> where the gradient of the dilated regularizer at sequence
-    coordinate (s, a) is the local gradient at s plus, for every child
-    infoset hanging off (s, a), the local value minus its linearization.
-    """
-    from .game import to_sequence_form
-    sf = to_sequence_form(tree, profile, player)
-    sfr = to_sequence_form(tree, ref_profile, player)
-    children = {}
-    for si in tree.infoset_ids(player):
-        ps = tree.infosets[si].parent_seq
-        if ps is not None:
-            children.setdefault(ps, []).append(si)
-
-    total = (dilated_psi(tree, profile, player, alpha, family)
-             - dilated_psi(tree, ref_profile, player, alpha, family))
-    for si in tree.infoset_ids(player):
-        a_s = _alpha_at(alpha, si)
-        pi_ref = np.asarray(ref_profile[si], dtype=np.float64)
-        grad = local_psi_grad(pi_ref, a_s, family)
-        for a in range(tree.infosets[si].num_actions):
-            g = grad[a]
-            for child in children.get((si, a), []):
-                a_c = _alpha_at(alpha, child)
-                pc = np.asarray(ref_profile[child], dtype=np.float64)
-                g += (local_psi(pc, a_c, family)
-                      - float(np.dot(local_psi_grad(pc, a_c, family), pc)))
-            total -= g * (sf.seq[si][a] - sfr.seq[si][a])
-    return total
+    flat = flatten_profile(tree, profile)
+    mine, own, _ = _player_reach(tree, flat, player)
+    local = bregman_flat(tree, flat, flatten_profile(tree, ref_profile),
+                         alpha, family)
+    return float(np.dot(own, local[mine]))
 
 
 # ---------------------------------------------------------------------------

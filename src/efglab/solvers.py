@@ -16,7 +16,7 @@ from .game import (PLAYER1, PLAYER2, exploration_distribution,
 from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex, prox_batch,
                            prox_euclidean_batch, project_truncated_simplex)
 from .values import (CF, QVALUE, TRAJQ, estimate_trajectory_q, feedback_flat,
-                     reach_flat, sample_trajectory)
+                     infoset_reach, reach_flat, sample_trajectory)
 
 
 def lr_schedule(tree, eta0, schedule="uniform"):
@@ -102,9 +102,7 @@ class SolverState:
         self.strat_sum = np.zeros(tree.num_pairs)
         self.last_seen = np.zeros(tree.num_infosets, dtype=np.int64)
         # Frozen local regularizer weights for lazy zero-feedback steps.
-        mu1, mu2, muc = reach_flat(tree, self.cur)
-        fm = tree.first_member
-        own = np.where(tree.infoset_owner == PLAYER1, mu1[fm], mu2[fm])
+        own, _ = infoset_reach(tree, reach_flat(tree, self.cur))
         self.last_tau0 = params.effective_tau(0) * own
 
     def profile(self, tree):
@@ -479,10 +477,9 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
         gamma_seq = gamma_lower_bound(tree, gamma0) if gamma0 > 0.0 else 0.0
     nu = exploration_distribution(tree)
     na = tree.actions_per_infoset
-    members = [len(s.members) for s in tree.infosets]
-    chance_mass = np.bincount(tree.member_infoset,
-                              weights=tree.chance_reach[tree.member_node],
-                              minlength=n)
+    # Chance mass per infoset: opponent reach under the all-ones profile.
+    _, chance_mass = infoset_reach(
+        tree, reach_flat(tree, np.ones(tree.num_pairs)))
     min_chance = float(chance_mass.min())
 
     if kind == CF:
@@ -524,7 +521,7 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
     k_ent = 2.0 * q_bound / alpha + tau_term
     max_c_diff = float(np.max(c_diff))
     max_k_ent = float(np.max(k_ent))
-    mbrs = np.asarray(members, dtype=float)
+    mbrs = np.bincount(tree.member_infoset, minlength=n).astype(float)
     ones = np.ones(n)
     if kind == CF:
         c_minus = np.zeros(n)

@@ -19,16 +19,15 @@ action) in the tree's canonical order; see game.flatten_profile.
 
 import numpy as np
 
-from .game import PLAYER1, PLAYER2, flatten_profile
-from .regularizers import local_psi
+from .game import (CHANCE, PLAYER1, PLAYER2, flatten_profile,
+                   unflatten_profile)
+from .regularizers import local_psi, psi_flat
 
 CF = "cf"
 QVALUE = "q"
 TRAJQ = "tq"
 
 FEEDBACK_KINDS = (CF, QVALUE, TRAJQ)
-
-_TINY = 1e-300
 
 
 class FeedbackBundle:
@@ -45,11 +44,6 @@ class FeedbackBundle:
         self.opp_reach = opp_reach
         self.cf = cf
 
-    @property
-    def augmented(self):
-        """Whether regularizer terms are folded into the values."""
-        return self.tau != 0.0
-
 
 # ---------------------------------------------------------------------------
 # Flat-array engine
@@ -64,40 +58,57 @@ def edge_weights_flat(tree, flat):
 
 
 def reach_flat(tree, flat):
-    """Per-node reach contributions (mu1, mu2, muc) from a flat profile."""
-    n = tree.num_nodes
-    mu1, mu2, muc = np.ones(n), np.ones(n), np.ones(n)
+    """Per-node reach contributions (mu1, mu2, muc) from a flat profile.
+
+    Row p of the sweep holds participant p's reach (CHANCE, PLAYER1,
+    PLAYER2); each edge multiplies only its owner's row.
+    """
+    mu = np.ones((3, tree.num_nodes))
     w = edge_weights_flat(tree, flat)
     for lo, hi in tree.edge_level_slices:
-        if lo == hi:
-            continue
-        par = tree.edge_parent[lo:hi]
         ch = tree.edge_child[lo:hi]
-        mu1[ch] = mu1[par]
-        mu2[ch] = mu2[par]
-        muc[ch] = muc[par]
-        own = tree.edge_owner[lo:hi]
-        for p, mu in ((PLAYER1, mu1), (PLAYER2, mu2), (0, muc)):
-            mask = own == p
-            if np.any(mask):
-                mu[ch[mask]] *= w[lo:hi][mask]
-    return mu1, mu2, muc
+        par = tree.edge_parent[lo:hi]
+        for row in mu:
+            row[ch] = row[par]
+        mu[tree.edge_owner[lo:hi], ch] *= w[lo:hi]
+    return mu[PLAYER1], mu[PLAYER2], mu[CHANCE]
 
 
-def psi_flat(tree, flat, alpha, family):
-    """Local regularizer value of every infoset's current distribution."""
-    from .regularizers import ENTROPY, EUCLIDEAN
-    n_sets = tree.num_infosets
-    if family == ENTROPY:
-        xs = np.clip(flat, _TINY, None)
-        inner = np.bincount(tree.pair_infoset, weights=flat * np.log(xs),
-                            minlength=n_sets)
-        return alpha * (np.log(tree.actions_per_infoset) + inner)
-    if family == EUCLIDEAN:
-        return alpha * 0.5 * np.bincount(tree.pair_infoset,
-                                         weights=flat * flat,
-                                         minlength=n_sets)
-    raise ValueError(f"unknown regularizer family {family!r}")
+def infoset_reach(tree, reach):
+    """Per-infoset own reach and opponent reach from reach_flat's output.
+
+    Own reach is the owner's reach at the first member (equal at every
+    member by perfect recall); opponent reach sums chance times opponent
+    reach over the members.
+    """
+    mu1, mu2, muc = reach
+    fm = tree.first_member
+    own_reach = np.where(tree.infoset_owner == PLAYER1, mu1[fm], mu2[fm])
+    mn = tree.member_node
+    mopp = np.where(tree.node_owner[mn] == PLAYER1, mu2[mn], mu1[mn])
+    opp_reach = np.bincount(tree.member_infoset, weights=muc[mn] * mopp,
+                            minlength=tree.num_infosets)
+    return own_reach, opp_reach
+
+
+def multiplier(kind, own_reach, opp_reach):
+    """The per-infoset multiplier m of a feedback kind: 1 for cf,
+    opp_reach for q, 1 / own_reach for tq."""
+    if kind == CF:
+        return np.ones(own_reach.shape[0])
+    if kind == QVALUE:
+        if np.any(opp_reach <= 0.0):
+            bad = int(np.argmin(opp_reach))
+            raise ValueError(
+                f"q-value feedback undefined: infoset {bad} has zero "
+                f"opponent reach")
+        return opp_reach.copy()
+    if np.any(own_reach <= 0.0):
+        bad = int(np.argmin(own_reach))
+        raise ValueError(
+            f"trajectory-q feedback undefined: infoset {bad} has zero "
+            f"own reach")
+    return 1.0 / own_reach
 
 
 def _value_to_go(tree, flat, tau, psis):
@@ -155,38 +166,15 @@ def feedback_flat(tree, flat, kind, tau=0.0, alpha=1.0, family=None):
     cf_flat = np.bincount(tree.edge_pair[dec], weights=wpar * tval,
                           minlength=tree.num_pairs)
 
-    fm = tree.first_member
-    own_reach = np.where(tree.infoset_owner == PLAYER1, mu1[fm], mu2[fm])
-    mn = tree.member_node
-    mopp = np.where(tree.node_owner[mn] == PLAYER1, mu2[mn], mu1[mn])
-    opp_reach = np.bincount(tree.member_infoset, weights=muc[mn] * mopp,
-                            minlength=tree.num_infosets)
-
+    own_reach, opp_reach = infoset_reach(tree, (mu1, mu2, muc))
+    m = multiplier(kind, own_reach, opp_reach)
     if kind == CF:
         q_flat = cf_flat
-        m = np.ones(tree.num_infosets)
     elif kind == QVALUE:
-        if np.any(opp_reach <= 0.0):
-            bad = int(np.argmin(opp_reach))
-            raise ValueError(
-                f"q-value feedback undefined: infoset {bad} has zero "
-                f"opponent reach")
         q_flat = cf_flat / np.repeat(opp_reach, tree.actions_per_infoset)
-        m = opp_reach.copy()
     else:  # TRAJQ
-        if np.any(own_reach <= 0.0):
-            bad = int(np.argmin(own_reach))
-            raise ValueError(
-                f"trajectory-q feedback undefined: infoset {bad} has zero "
-                f"own reach")
         q_flat = cf_flat * np.repeat(own_reach, tree.actions_per_infoset)
-        m = 1.0 / own_reach
     return q_flat, m, own_reach, opp_reach, cf_flat
-
-
-def _split(tree, flat):
-    return [flat[o:o + n] for o, n in
-            zip(tree.infoset_offset, tree.actions_per_infoset)]
 
 
 def compute_feedback(tree, profile, kind, tau=0.0, alpha=1.0, family=None):
@@ -201,18 +189,15 @@ def compute_feedback(tree, profile, kind, tau=0.0, alpha=1.0, family=None):
     a = alpha if np.isscalar(alpha) else np.asarray(alpha)
     q_flat, m, own_reach, opp_reach, cf_flat = feedback_flat(
         tree, flat, kind, tau, a, family)
-    return FeedbackBundle(kind, tau, _split(tree, q_flat), m, own_reach,
-                          opp_reach, _split(tree, cf_flat))
+    return FeedbackBundle(kind, tau, unflatten_profile(tree, q_flat), m,
+                          own_reach, opp_reach,
+                          unflatten_profile(tree, cf_flat))
 
 
 def opponent_reach(tree, profile):
     """Per-infoset sum over members of chance reach times opponent reach."""
-    flat = flatten_profile(tree, profile)
-    mu1, mu2, muc = reach_flat(tree, flat)
-    mn = tree.member_node
-    mopp = np.where(tree.node_owner[mn] == PLAYER1, mu2[mn], mu1[mn])
-    return np.bincount(tree.member_infoset, weights=muc[mn] * mopp,
-                       minlength=tree.num_infosets)
+    reach = reach_flat(tree, flatten_profile(tree, profile))
+    return infoset_reach(tree, reach)[1]
 
 
 # ---------------------------------------------------------------------------

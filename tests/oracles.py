@@ -1,0 +1,125 @@
+"""Slow reference implementations that check the library's flat paths.
+
+Each oracle works node by node or in sequence form, apart from
+`efglab.values.reach_flat`: per-node reach by one parent-before-child pass,
+sequence-form realization plans by recursion over parent sequences,
+expected utility by backward traversal, and the dilated Bregman divergence
+from its sequence-form definition.
+"""
+
+import numpy as np
+
+from efglab.game import PLAYER1
+from efglab.regularizers import local_psi, local_psi_grad
+
+
+def reach_probabilities(tree, profile):
+    """Per-node reach contributions (mu1, mu2, muc).
+
+    Entry i of each array is the product of the corresponding participant's
+    action probabilities on the path from the root to node i.
+    """
+    n = tree.num_nodes
+    mu1 = np.ones(n)
+    mu2 = np.ones(n)
+    muc = np.ones(n)
+    for i, node in enumerate(tree.nodes):
+        for a, c in enumerate(node.children):
+            mu1[c], mu2[c], muc[c] = mu1[i], mu2[i], muc[i]
+            if node.is_chance:
+                muc[c] *= node.chance_probs[a]
+            elif node.owner == PLAYER1:
+                mu1[c] *= profile[node.infoset][a]
+            else:
+                mu2[c] *= profile[node.infoset][a]
+    return mu1, mu2, muc
+
+
+class SequenceFormStrategy:
+    """Sequence-form realization plan for one player.
+
+    seq[s][a] = product of the player's own action probabilities along the
+    unique own path ending with action a at infoset s. The empty sequence has
+    realization 1.
+    """
+
+    def __init__(self, tree, player, profile):
+        self.player = player
+        self.seq = [None] * tree.num_infosets
+        for si in tree.infoset_ids(player):
+            s = tree.infosets[si]
+            parent = self.realization(s.parent_seq)
+            self.seq[si] = parent * np.asarray(profile[si], dtype=np.float64)
+
+    def realization(self, sigma):
+        """Realization weight of a sequence (None = empty sequence)."""
+        if sigma is None:
+            return 1.0
+        si, a = sigma
+        return self.seq[si][a]
+
+
+def to_sequence_form(tree, profile, player):
+    return SequenceFormStrategy(tree, player, profile)
+
+
+def expected_utility_traversal(tree, profile):
+    """Player 1's expected utility by direct backward traversal (children
+    follow their parents in node order)."""
+    vals = np.zeros(tree.num_nodes)
+    for i in range(tree.num_nodes - 1, -1, -1):
+        node = tree.nodes[i]
+        if node.is_terminal:
+            vals[i] = node.utility
+        elif node.is_chance:
+            vals[i] = float(np.dot(node.chance_probs, vals[node.children]))
+        else:
+            vals[i] = float(np.dot(profile[node.infoset],
+                                   vals[node.children]))
+    return vals[tree.root]
+
+
+def _alpha_at(alpha, si):
+    return alpha if np.isscalar(alpha) else alpha[si]
+
+
+def _dilated_psi_seq(tree, sf, profile, player, alpha, family):
+    """Dilated regularizer: parent-sequence realization times local psi."""
+    return sum(sf.realization(tree.infosets[si].parent_seq)
+               * local_psi(profile[si], _alpha_at(alpha, si), family)
+               for si in tree.infoset_ids(player))
+
+
+def bregman_tree_direct(tree, profile, ref_profile, player, alpha, family):
+    """Dilated-regularizer Bregman divergence D(profile, ref) in sequence
+    form.
+
+    Computes psi_tree(mu) - psi_tree(mu_ref) - <grad psi_tree(mu_ref),
+    mu - mu_ref> where the gradient of the dilated regularizer at sequence
+    coordinate (s, a) is the local gradient at s plus, for every child
+    infoset hanging off (s, a), the local value minus its linearization.
+    """
+    sf = to_sequence_form(tree, profile, player)
+    sfr = to_sequence_form(tree, ref_profile, player)
+    children = {}
+    for si in tree.infoset_ids(player):
+        ps = tree.infosets[si].parent_seq
+        if ps is not None:
+            children.setdefault(ps, []).append(si)
+
+    total = (_dilated_psi_seq(tree, sf, profile, player, alpha, family)
+             - _dilated_psi_seq(tree, sfr, ref_profile, player, alpha,
+                                family))
+    for si in tree.infoset_ids(player):
+        a_s = _alpha_at(alpha, si)
+        pi_ref = np.asarray(ref_profile[si], dtype=np.float64)
+        grad = local_psi_grad(pi_ref, a_s, family)
+        for a in range(tree.infosets[si].num_actions):
+            g = grad[a]
+            for child in children.get((si, a), []):
+                a_c = _alpha_at(alpha, child)
+                pc = np.asarray(ref_profile[child], dtype=np.float64)
+                g += (local_psi(pc, a_c, family)
+                      - float(np.dot(local_psi_grad(pc, a_c, family), pc)))
+            total -= g * (sf.seq[si][a] - sfr.seq[si][a])
+    return total

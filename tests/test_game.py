@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from efglab.game import (CHANCE, PLAYER1, PLAYER2, GameFormatError,
                          GameValidationError,
                          Infoset, Node, dump_game, expected_utility,
-                         expected_utility_traversal, exploration_distribution,
-                         gamma_lower_bound, load_game, random_profile,
-                         reach_probabilities, to_sequence_form,
-                         uniform_profile, validate_perfect_recall,
-                         validate_profile)
+                         exploration_distribution, gamma_lower_bound,
+                         load_game, random_profile, uniform_profile,
+                         validate_perfect_recall, validate_profile)
 from efglab.games import build_kuhn, build_matching_pennies
+from oracles import (expected_utility_traversal, reach_probabilities,
+                     to_sequence_form)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +69,21 @@ def test_perfect_recall_violation_reported():
     report = validate_perfect_recall(nodes, [s0, s1])
     assert len(report) == 1
     assert report[0]["infoset"] == 1
+
+
+@pytest.mark.parametrize("game", ["kuhn", "leduc"])
+def test_member_order_is_ascending_node_index(game, request):
+    tree = request.getfixturevalue(game)
+    want_nodes, want_sets = [], []
+    for si in range(tree.num_infosets):
+        mine = [i for i, n in enumerate(tree.nodes)
+                if not n.is_terminal and not n.is_chance and n.infoset == si]
+        want_nodes += mine
+        want_sets += [si] * len(mine)
+    assert np.array_equal(tree.member_node, want_nodes)
+    assert np.array_equal(tree.member_infoset, want_sets)
+    assert np.array_equal(tree.first_member,
+                          [s.members[0] for s in tree.infosets])
 
 
 # ---------------------------------------------------------------------------

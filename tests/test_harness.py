@@ -264,3 +264,28 @@ def test_cli_bestresp_rejects_malformed_profile(tmp_path, capsys, row,
     captured = capsys.readouterr()
     assert message in captured.err
     assert "exploitability" not in captured.out
+
+
+def test_cli_run_reports_non_finite_metric(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    with np.errstate(all="ignore"):
+        rc = cli_main(["run", "--game", "kuhn", "--algo", "pga",
+                       "--feedback", "cf", "--reg", "euclidean",
+                       "--eta", "1e300", "--gamma", "0.01", "--iters", "5",
+                       "--eval-every", "5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: non-finite expl_last at seed 0 iteration 5"]
+    # The CSV is still written, with its schema unchanged.
+    lines = _read_csv(out)
+    assert lines[0] == EXPECTED_HEADER.split(",")
+    assert lines[1][2] == "nan"
+
+
+def test_cli_bestresp_missing_profile_file(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    rc = cli_main(["bestresp", "--game", "kuhn", "--profile", str(missing)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {missing}: ")
+    assert "exploitability" not in captured.out

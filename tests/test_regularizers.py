@@ -11,11 +11,11 @@ from efglab.game import PLAYER1, PLAYER2, random_profile, uniform_profile
 from efglab.games import build_kuhn, build_matching_pennies
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  argmax_regularized, bidilated_psi,
-                                 bregman_local, bregman_tree,
-                                 bregman_tree_direct, dilated_psi, full_simplex,
-                                 local_psi, local_psi_grad,
+                                 bregman_local, bregman_tree, dilated_psi,
+                                 full_simplex, local_psi, local_psi_grad,
                                  project_truncated_simplex, prox_entropy,
                                  prox_euclidean, prox_step)
+from oracles import bregman_tree_direct, reach_probabilities
 
 
 def _random_simplex_point(rng, n):
@@ -118,7 +118,6 @@ def _dilated_oracle(tree, profile, player, alpha, family):
     """Node-sum expansion: under perfect recall every member of an infoset
     has the same own reach, so the sequence mass equals any member's own
     reach product; sum psi per decision node and divide by member count."""
-    from efglab.game import reach_probabilities
     mu1, mu2, _ = reach_probabilities(tree, profile)
     own = mu1 if player == PLAYER1 else mu2
     total = 0.0
@@ -132,7 +131,6 @@ def _dilated_oracle(tree, profile, player, alpha, family):
 
 
 def _bidilated_oracle(tree, profile, player, alpha, family):
-    from efglab.game import reach_probabilities
     mu1, mu2, muc = reach_probabilities(tree, profile)
     total = 0.0
     for h, nd in enumerate(tree.nodes):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from efglab.evaluate import exploitability
-from efglab.game import (PLAYER1, PLAYER2, load_game, to_sequence_form,
-                         uniform_profile)
+from efglab.game import PLAYER1, PLAYER2, load_game, uniform_profile
 from efglab.regularizers import ENTROPY, EUCLIDEAN
 from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             average_profile, cfr_plus_step, cfr_step,
@@ -15,6 +14,7 @@ from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             qfr_stochastic_step, schedule_report)
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            sample_trajectory)
+from oracles import to_sequence_form
 
 
 def _single_decision_game():

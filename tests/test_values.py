@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from efglab.game import (PLAYER1, PLAYER2, random_profile,
-                         reach_probabilities, to_sequence_form,
+from efglab.game import (PLAYER1, PLAYER2, flatten_profile, random_profile,
                          uniform_profile)
 from efglab.regularizers import ENTROPY, local_psi
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
-                           estimate_trajectory_q, opponent_reach,
-                           sample_trajectory)
+                           estimate_trajectory_q, infoset_reach, multiplier,
+                           opponent_reach, reach_flat, sample_trajectory)
+from oracles import reach_probabilities, to_sequence_form
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,27 @@ def test_trajq_errors_on_zero_own_reach(kuhn):
             prof[si] = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="own reach"):
         compute_feedback(kuhn, prof, TRAJQ)
+
+
+def test_infoset_reach_matches_oracles(leduc, rng):
+    prof = random_profile(leduc, rng)
+    own, opp = infoset_reach(leduc,
+                             reach_flat(leduc, flatten_profile(leduc, prof)))
+    sf = {p: to_sequence_form(leduc, prof, p) for p in (PLAYER1, PLAYER2)}
+    want_own = [sf[s.owner].realization(s.parent_seq)
+                for s in leduc.infosets]
+    assert np.allclose(own, want_own, rtol=1e-12, atol=0.0)
+    assert np.allclose(opp, _opponent_reach_oracle(leduc, prof),
+                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", [CF, QVALUE, TRAJQ])
+def test_multiplier_is_feedback_m(leduc, rng, kind):
+    prof = random_profile(leduc, rng, min_prob=1e-3)
+    reach = infoset_reach(leduc,
+                          reach_flat(leduc, flatten_profile(leduc, prof)))
+    assert np.array_equal(multiplier(kind, *reach),
+                          compute_feedback(leduc, prof, kind).m)
 
 
 # ---------------------------------------------------------------------------
