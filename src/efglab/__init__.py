@@ -12,8 +12,7 @@ from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                            argmax_regularized, bidilated_psi, bregman_local,
                            bregman_tree, dilated_psi, full_simplex,
                            local_psi, local_psi_grad,
-                           project_truncated_simplex, prox_entropy,
-                           prox_euclidean, prox_step)
+                           project_truncated_simplex, prox_step)
 from .values import (CF, FEEDBACK_KINDS, QVALUE, TRAJQ, FeedbackBundle,
                      Trajectory, compute_feedback, estimate_trajectory_q,
                      opponent_reach, sample_trajectory)

@@ -1,25 +1,18 @@
 """Exact evaluation: best response, exploitability, regularized gaps.
 
-All routines share one backward-induction engine. For a fixed opponent the
-optimizer's infosets are processed deepest-first (in own decisions); each
-infoset solves a local perturbed, regularized linear problem and the
-resulting policy is folded into the values seen by shallower infosets. The
-opponent's regularizer enters linearly (it is weighted by the optimizer's
-reach), so it folds into the backed-up values as a per-node bonus.
+A best response fixes the responder's infosets one own-depth at a time,
+deepest first: one `feedback_flat` sweep values every infoset (its subtree
+holds only deeper, already fixed infosets of the responder) and one
+`argmax_batch` call per action count picks the policies at that depth. The
+opponent's regularizer enters linearly (it is weighted by the responder's
+reach), so the sweeps carry it as a per-node bonus.
 """
 
 import numpy as np
 
-from .game import PLAYER1, PLAYER2, flatten_profile
-from .regularizers import (ENTROPY, TruncatedSimplex, argmax_regularized,
-                           bregman_tree, full_simplex, local_psi)
-from .values import QVALUE, reach_flat
-
-
-def _alpha_arr(tree, alpha):
-    if np.isscalar(alpha):
-        return np.full(tree.num_infosets, float(alpha))
-    return np.asarray(alpha, dtype=np.float64)
+from .game import PLAYER1, PLAYER2, flatten_profile, unflatten_profile
+from .regularizers import ENTROPY, argmax_batch, bregman_tree
+from .values import CF, QVALUE, feedback_flat, value_to_go
 
 
 def _reg_best_response(tree, profile, player, tau=0.0, alpha=1.0,
@@ -28,64 +21,36 @@ def _reg_best_response(tree, profile, player, tau=0.0, alpha=1.0,
 
     Maximizes expected utility minus tau times the player's own
     reach-weighted regularizer plus tau times the opponent's, over local
-    policies constrained to the given truncated simplexes. Returns
-    (value, policies) with policies a dict over the player's infosets.
-    With tau = 0 and full simplexes this is the exact best response
-    (ties broken toward the lowest action index).
+    policies constrained to the given truncated simplexes (full simplexes
+    when None). Returns (value, flat) with flat the profile, as a flat pair
+    array, in which the player's strategies are replaced by the response.
+    With tau = 0 and full simplexes this is the exact best response (ties
+    broken toward the lowest action index).
     """
-    alpha = _alpha_arr(tree, alpha)
+    n_sets = tree.num_infosets
+    counts = tree.actions_per_infoset
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (n_sets,))
     if simplexes is None:
-        simplexes = [full_simplex(s.num_actions) for s in tree.infosets]
+        gamma = np.zeros(n_sets)
+        nu = np.repeat(1.0 / counts, counts)
+    else:
+        gamma = np.asarray([s.gamma for s in simplexes], dtype=np.float64)
+        nu = np.concatenate([s.nu for s in simplexes])
+    own_depth = np.asarray([s.own_depth for s in tree.infosets])
+    mine = tree.infoset_owner == player
+
     flat = flatten_profile(tree, profile)
-    mu1, mu2, muc = reach_flat(tree, flat)
-    opp_mu = mu2 if player == PLAYER1 else mu1
-    w = muc * opp_mu
-
-    psi_opp = np.zeros(tree.num_infosets)
-    if tau != 0.0:
-        for si, s in enumerate(tree.infosets):
-            if s.owner != player:
-                psi_opp[si] = local_psi(profile[si], alpha[si], family)
-
-    down = np.full(tree.num_nodes, np.nan)
-    policies = {}
-
-    def resolve(h):
-        if not np.isnan(down[h]):
-            return down[h]
-        node = tree.nodes[h]
-        if node.is_terminal:
-            u = node.utility if player == PLAYER1 else -node.utility
-            val = w[h] * u
-        elif node.is_chance:
-            val = sum(resolve(c) for c in node.children)
-        elif node.owner != player:
-            val = sum(resolve(c) for c in node.children)
-            if tau != 0.0:
-                val += tau * w[h] * psi_opp[node.infoset]
-        else:
-            pol = policies[node.infoset]
-            val = float(np.dot(pol, [resolve(c) for c in node.children]))
-            if tau != 0.0:
-                val -= (tau * w[h]
-                        * local_psi(pol, alpha[node.infoset], family))
-        down[h] = val
-        return val
-
-    order = sorted(tree.infoset_ids(player),
-                   key=lambda si: -tree.infosets[si].own_depth)
-    for si in order:
-        s = tree.infosets[si]
-        qvec = np.zeros(s.num_actions)
-        w_s = 0.0
-        for h in s.members:
-            w_s += w[h]
-            for a, c in enumerate(tree.nodes[h].children):
-                qvec[a] += resolve(c)
-        x, _ = argmax_regularized(qvec, tau * w_s, alpha[si], family,
-                                  simplexes[si])
-        policies[si] = x
-    return resolve(tree.root), policies
+    for d in range(max(own_depth[mine], default=0), 0, -1):
+        _, _, _, opp_reach, cf = feedback_flat(tree, flat, CF, tau, alpha,
+                                               family)
+        at_d = mine & (own_depth == d)
+        for n in set(counts[at_d].tolist()):
+            ids = np.flatnonzero(at_d & (counts == n))
+            pairs = tree.infoset_offset[ids][:, None] + np.arange(n)
+            flat[pairs] = argmax_batch(family, cf[pairs], tau * opp_reach[ids],
+                                       alpha[ids], gamma[ids], nu[pairs])
+    root = value_to_go(tree, flat, tau, alpha, family)[tree.root]
+    return float(root if player == PLAYER1 else -root), flat
 
 
 def best_response(tree, profile, player):
@@ -95,19 +60,20 @@ def best_response(tree, profile, player):
     strategies and replaces the player's with the (pure, floored-vertex)
     best response; ties break toward the lowest action index.
     """
-    value, policies = _reg_best_response(tree, profile, player)
-    br = [np.asarray(x, dtype=np.float64).copy() for x in profile]
-    for si, x in policies.items():
-        br[si] = x
-    return value, br
+    value, flat = _reg_best_response(tree, profile, player)
+    return value, unflatten_profile(tree, flat)
+
+
+def _gap(tree, profile, *args):
+    """Sum of both players' regularized best-response values."""
+    return (_reg_best_response(tree, profile, PLAYER1, *args)[0]
+            + _reg_best_response(tree, profile, PLAYER2, *args)[0])
 
 
 def exploitability(tree, profile):
     """Sum of both players' best-response gains; zero exactly at a Nash
     equilibrium (in the game's stored utility scale)."""
-    v1, _ = _reg_best_response(tree, profile, PLAYER1)
-    v2, _ = _reg_best_response(tree, profile, PLAYER2)
-    return v1 + v2
+    return _gap(tree, profile)
 
 
 def perturbed_regularized_gap(tree, profile, tau, alpha=1.0, family=ENTROPY,
@@ -119,11 +85,7 @@ def perturbed_regularized_gap(tree, profile, tau, alpha=1.0, family=ENTROPY,
     deviations range over the truncated simplexes. Non-negative, zero only
     at the regularized equilibrium.
     """
-    v1, _ = _reg_best_response(tree, profile, PLAYER1, tau, alpha, family,
-                               simplexes)
-    v2, _ = _reg_best_response(tree, profile, PLAYER2, tau, alpha, family,
-                               simplexes)
-    return v1 + v2
+    return _gap(tree, profile, tau, alpha, family, simplexes)
 
 
 def bregman_to_reference(tree, profile, reference, alpha=1.0,

@@ -217,6 +217,8 @@ def _validate_structure(tree):
                     f"node {i}: infoset {n.infoset} action labels differ")
     if not seen_terminal:
         raise GameValidationError("game has no terminal nodes")
+    if not any(n.owner in (PLAYER1, PLAYER2) for n in nodes):
+        raise GameValidationError("game has no decision nodes")
 
     # Reachability, parent links, topological order, depths.
     parent = [-1] * len(nodes)

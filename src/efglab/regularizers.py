@@ -162,36 +162,40 @@ def bregman_tree(tree, profile, ref_profile, player, alpha, family):
 # Projections
 
 
-def project_truncated_simplex(z, simplex):
-    """Euclidean projection of z onto a truncated simplex.
+def _project_floored(Z, gamma, NU):
+    """Row-wise Euclidean projection onto {x >= gamma_i * nu_i, sum x = 1}.
 
-    Shifts by the floor, projects onto the scaled simplex of the remaining
-    mass by the sort-and-threshold rule, and shifts back.
+    Shifts each row by its floor, projects onto the simplex of the
+    remaining mass by the sort-and-threshold rule, and shifts back. Rows
+    whose floor leaves no slack return the normalized floor.
     """
+    NU = np.broadcast_to(NU, Z.shape)
+    floor = gamma[:, None] * NU
+    slack = 1.0 - floor.sum(axis=1)
+    out = np.empty_like(Z)
+    tight = slack <= 1e-15
+    if np.any(tight):
+        f = floor[tight]
+        out[tight] = f / f.sum(axis=1, keepdims=True)
+    rows = ~tight
+    if np.any(rows):
+        fl = floor[rows]
+        Y = Z[rows] - fl
+        srt = -np.sort(-Y, axis=1)
+        css = np.cumsum(srt, axis=1) - slack[rows][:, None]
+        ks = np.arange(1, Y.shape[1] + 1)
+        cond = srt - css / ks > 0.0
+        k = cond.shape[1] - np.argmax(cond[:, ::-1], axis=1)
+        theta = css[np.arange(Y.shape[0]), k - 1] / k
+        out[rows] = fl + np.maximum(Y - theta[:, None], 0.0)
+    return out
+
+
+def project_truncated_simplex(z, simplex):
+    """Euclidean projection of z onto a truncated simplex."""
     z = np.asarray(z, dtype=np.float64)
-    floor = simplex.floor()
-    slack = 1.0 - floor.sum()
-    if slack <= 1e-15:
-        return floor / floor.sum()
-    y = z - floor
-    srt = np.sort(y)[::-1]
-    css = np.cumsum(srt) - slack
-    ks = np.arange(1, y.shape[0] + 1)
-    cond = srt - css / ks > 0.0
-    k = ks[cond][-1]
-    theta = css[k - 1] / k
-    return floor + np.maximum(y - theta, 0.0)
-
-
-def _project_rows(Y, slack):
-    """Row-wise projection onto {p >= 0, sum p = slack_i}."""
-    srt = -np.sort(-Y, axis=1)
-    css = np.cumsum(srt, axis=1) - slack[:, None]
-    ks = np.arange(1, Y.shape[1] + 1)
-    cond = srt - css / ks > 0.0
-    k = cond.shape[1] - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(Y.shape[0]), k - 1] / k
-    return np.maximum(Y - theta[:, None], 0.0)
+    return _project_floored(z[None, :], np.asarray([simplex.gamma]),
+                            simplex.nu[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,89 +261,77 @@ def _entropy_floor_fit(xh, gamma, NU):
     return out
 
 
-def prox_entropy_batch(X0, G, tau0, eta, alpha, gamma, NU):
-    """Row-wise entropy prox step. All row parameters are 1-D arrays."""
-    c = 1.0 + eta * tau0
-    logx0 = np.log(np.clip(X0, _TINY, None))
-    logxh = logx0 / c[:, None] - (eta / (alpha * c))[:, None] * G
-    logxh -= logxh.max(axis=1, keepdims=True)
-    return _entropy_floor_fit(np.exp(logxh), gamma, NU)
-
-
-def prox_euclidean_batch(X0, G, tau0, eta, alpha, gamma, NU):
-    """Row-wise euclidean prox step. All row parameters are 1-D arrays."""
-    xh = (X0 - (eta / alpha)[:, None] * G) / (1.0 + eta * tau0)[:, None]
-    NU = np.broadcast_to(NU, xh.shape)
-    floor = gamma[:, None] * NU
-    slack = 1.0 - floor.sum(axis=1)
-    out = np.empty_like(xh)
-    tight = slack <= 1e-15
-    if np.any(tight):
-        f = floor[tight]
-        out[tight] = f / f.sum(axis=1, keepdims=True)
-    rows = ~tight
-    if np.any(rows):
-        out[rows] = floor[rows] + _project_rows(xh[rows] - floor[rows],
-                                                slack[rows])
-    return out
-
-
-def _as_rows(x0, g, tau0, eta, alpha, simplex):
-    X0 = np.asarray(x0, dtype=np.float64)[None, :]
-    G = np.asarray(g, dtype=np.float64)[None, :]
-    return (X0, G, np.asarray([tau0], dtype=np.float64),
-            np.asarray([eta], dtype=np.float64),
-            np.asarray([alpha], dtype=np.float64),
-            np.asarray([simplex.gamma], dtype=np.float64),
-            simplex.nu[None, :])
-
-
-def prox_entropy(x0, g, tau0, eta, alpha, simplex):
-    return prox_entropy_batch(*_as_rows(x0, g, tau0, eta, alpha, simplex))[0]
-
-
-def prox_euclidean(x0, g, tau0, eta, alpha, simplex):
-    return prox_euclidean_batch(*_as_rows(x0, g, tau0, eta, alpha, simplex))[0]
+def prox_batch(family, X0, G, tau0, eta, alpha, gamma, NU):
+    """Row-wise prox step. All row parameters are 1-D arrays."""
+    if family == ENTROPY:
+        c = 1.0 + eta * tau0
+        logx0 = np.log(np.clip(X0, _TINY, None))
+        logxh = logx0 / c[:, None] - (eta / (alpha * c))[:, None] * G
+        logxh -= logxh.max(axis=1, keepdims=True)
+        return _entropy_floor_fit(np.exp(logxh), gamma, NU)
+    if family == EUCLIDEAN:
+        xh = (X0 - (eta / alpha)[:, None] * G) / (1.0 + eta * tau0)[:, None]
+        return _project_floored(xh, gamma, NU)
+    raise ValueError(f"unknown regularizer family {family!r}")
 
 
 def prox_step(x0, g, tau0, eta, alpha, family, simplex):
-    if family == ENTROPY:
-        return prox_entropy(x0, g, tau0, eta, alpha, simplex)
-    if family == EUCLIDEAN:
-        return prox_euclidean(x0, g, tau0, eta, alpha, simplex)
-    raise ValueError(f"unknown regularizer family {family!r}")
+    """One-row prox_batch call on a single distribution."""
+    return prox_batch(family, np.asarray(x0, dtype=np.float64)[None, :],
+                      np.asarray(g, dtype=np.float64)[None, :],
+                      np.asarray([tau0], dtype=np.float64),
+                      np.asarray([eta], dtype=np.float64),
+                      np.asarray([alpha], dtype=np.float64),
+                      np.asarray([simplex.gamma], dtype=np.float64),
+                      simplex.nu[None, :])[0]
 
 
-def prox_batch(family, X0, G, tau0, eta, alpha, gamma, NU):
-    if family == ENTROPY:
-        return prox_entropy_batch(X0, G, tau0, eta, alpha, gamma, NU)
-    if family == EUCLIDEAN:
-        return prox_euclidean_batch(X0, G, tau0, eta, alpha, gamma, NU)
-    raise ValueError(f"unknown regularizer family {family!r}")
+# ---------------------------------------------------------------------------
+# Regularized argmax
+
+# The regularized argmax solves
+#     max_x  <q, x> - tau0 * psi(x)
+# over the truncated simplex.
+
+
+def argmax_batch(family, Q, tau0, alpha, gamma, NU):
+    """Row-wise regularized argmax. All row parameters are 1-D arrays.
+
+    Rows with tau0 <= 0 take the floored vertex at the maximizing action
+    (ties broken toward the lowest index); the others take the entropy
+    (softmax) or euclidean (projection) maximizer.
+    """
+    if family not in (ENTROPY, EUCLIDEAN):
+        raise ValueError(f"unknown regularizer family {family!r}")
+    NU = np.broadcast_to(NU, Q.shape)
+    out = np.empty_like(Q)
+    vert = tau0 <= 0.0
+    if np.any(vert):
+        X = gamma[vert][:, None] * NU[vert]
+        slack = 1.0 - X.sum(axis=1)
+        X[np.arange(X.shape[0]), np.argmax(Q[vert], axis=1)] += np.where(
+            slack > 0.0, slack, 0.0)
+        out[vert] = X
+    rows = ~vert
+    if np.any(rows):
+        Z = Q[rows] / (alpha[rows] * tau0[rows])[:, None]
+        if family == ENTROPY:
+            Z -= Z.max(axis=1, keepdims=True)
+            out[rows] = _entropy_floor_fit(np.exp(Z), gamma[rows], NU[rows])
+        else:
+            out[rows] = _project_floored(Z, gamma[rows], NU[rows])
+    return out
 
 
 def argmax_regularized(q, tau0, alpha, family, simplex):
     """max_x <q, x> - tau0 * psi(x) over the truncated simplex.
 
-    Returns (x, value). With tau0 = 0 this is the floored vertex at the
-    maximizing action (ties broken toward the lowest index).
+    Returns (x, value); a one-row argmax_batch call.
     """
     q = np.asarray(q, dtype=np.float64)
-    if tau0 <= 0.0:
-        floor = simplex.floor()
-        slack = 1.0 - floor.sum()
-        x = floor.copy()
-        if slack > 0.0:
-            x[np.argmax(q)] += slack
-    elif family == ENTROPY:
-        logxh = q / (alpha * tau0)
-        logxh = logxh - logxh.max()
-        x = _entropy_floor_fit(np.exp(logxh)[None, :],
-                               np.asarray([simplex.gamma]),
-                               simplex.nu[None, :])[0]
-    elif family == EUCLIDEAN:
-        x = project_truncated_simplex(q / (alpha * tau0), simplex)
-    else:
-        raise ValueError(f"unknown regularizer family {family!r}")
+    x = argmax_batch(family, q[None, :], np.asarray([tau0], dtype=np.float64),
+                     np.asarray([alpha], dtype=np.float64),
+                     np.asarray([simplex.gamma], dtype=np.float64),
+                     simplex.nu[None, :])[0]
     value = float(np.dot(q, x)) - tau0 * local_psi(x, alpha, family)
     return x, value

@@ -14,7 +14,7 @@ import numpy as np
 from .game import (PLAYER1, PLAYER2, exploration_distribution,
                    gamma_lower_bound, unflatten_profile)
 from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex, prox_batch,
-                           prox_euclidean_batch, project_truncated_simplex)
+                           project_truncated_simplex)
 from .values import (CF, QVALUE, TRAJQ, estimate_trajectory_q, feedback_flat,
                      infoset_reach, reach_flat, sample_trajectory)
 
@@ -184,9 +184,10 @@ def pga_step(state, tree, params):
     q_flat, m, _, _, _ = feedback_flat(
         tree, state.cur, params.feedback, tau, params.alpha, params.family)
     for idx, pairs, NU in params.groups:
-        state.cur[pairs] = prox_euclidean_batch(
-            state.cur[pairs], -q_flat[pairs], np.zeros(idx.shape[0]),
-            params.eta[idx], np.ones(idx.shape[0]), params.gamma[idx], NU)
+        state.cur[pairs] = prox_batch(
+            EUCLIDEAN, state.cur[pairs], -q_flat[pairs],
+            np.zeros(idx.shape[0]), params.eta[idx], np.ones(idx.shape[0]),
+            params.gamma[idx], NU)
     state.t += 1
     return m
 

@@ -111,35 +111,27 @@ def multiplier(kind, own_reach, opp_reach):
     return 1.0 / own_reach
 
 
-def _value_to_go(tree, flat, tau, psis):
-    """Backward sweep of regularizer-augmented values-to-go, per player.
+def value_to_go(tree, flat, tau, alpha, family):
+    """Backward sweep of regularizer-augmented values-to-go.
 
-    t[p][h] is the expected downstream payoff of player p from node h under
-    the profile, including tau-weighted regularizer bonuses of every
-    decision node at or below h (negative at p's own nodes, positive at the
-    opponent's).
+    t[h] is player 1's expected downstream payoff from node h under the
+    profile, including tau-weighted regularizer bonuses of every decision
+    node at or below h (negative at player 1's nodes, positive at player
+    2's). Player 2's values-to-go are -t, since the game is zero-sum.
     """
-    n = tree.num_nodes
-    t1 = np.zeros(n)
-    t2 = np.zeros(n)
+    t = np.zeros(tree.num_nodes)
     if tau != 0.0:
+        psis = psi_flat(tree, flat, alpha, family)
         sgn = np.where(tree.node_owner[tree.member_node] == PLAYER1,
                        -1.0, 1.0)
-        bonus = tau * psis[tree.member_infoset]
-        t1[tree.member_node] = sgn * bonus
-        t2[tree.member_node] = -sgn * bonus
-    t1[tree.terminal_ids] = tree.terminal_utils
-    t2[tree.terminal_ids] = -tree.terminal_utils
+        t[tree.member_node] = sgn * (tau * psis[tree.member_infoset])
+    t[tree.terminal_ids] = tree.terminal_utils
     w = edge_weights_flat(tree, flat)
-    for d in range(len(tree.edge_level_slices) - 1, -1, -1):
-        lo, hi = tree.edge_level_slices[d]
-        if lo == hi:
-            continue
+    for lo, hi in reversed(tree.edge_level_slices):
         par = tree.edge_parent[lo:hi]
         ch = tree.edge_child[lo:hi]
-        np.add.at(t1, par, w[lo:hi] * t1[ch])
-        np.add.at(t2, par, w[lo:hi] * t2[ch])
-    return t1, t2
+        np.add.at(t, par, w[lo:hi] * t[ch])
+    return t
 
 
 def feedback_flat(tree, flat, kind, tau=0.0, alpha=1.0, family=None):
@@ -152,17 +144,16 @@ def feedback_flat(tree, flat, kind, tau=0.0, alpha=1.0, family=None):
         raise ValueError(f"unknown feedback kind {kind!r}")
     if tau != 0.0 and family is None:
         raise ValueError("tau > 0 requires a regularizer family")
-    psis = (psi_flat(tree, flat, alpha, family) if tau != 0.0 else None)
 
     mu1, mu2, muc = reach_flat(tree, flat)
-    t1, t2 = _value_to_go(tree, flat, tau, psis)
+    t = value_to_go(tree, flat, tau, alpha, family)
 
     dec = tree.edge_pair >= 0
     par = tree.edge_parent[dec]
     ch = tree.edge_child[dec]
     own_is1 = tree.edge_owner[dec] == PLAYER1
     wpar = muc[par] * np.where(own_is1, mu2[par], mu1[par])
-    tval = np.where(own_is1, t1[ch], t2[ch])
+    tval = np.where(own_is1, t[ch], -t[ch])
     cf_flat = np.bincount(tree.edge_pair[dec], weights=wpar * tval,
                           minlength=tree.num_pairs)
 

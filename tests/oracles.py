@@ -3,14 +3,18 @@
 Each oracle works node by node or in sequence form, apart from
 `efglab.values.reach_flat`: per-node reach by one parent-before-child pass,
 sequence-form realization plans by recursion over parent sequences,
-expected utility by backward traversal, and the dilated Bregman divergence
-from its sequence-form definition.
+expected utility by backward traversal, the dilated Bregman divergence
+from its sequence-form definition, and the regularized best response by a
+memoized recursion over nodes with one `argmax_regularized` call per
+infoset.
 """
 
 import numpy as np
 
-from efglab.game import PLAYER1
-from efglab.regularizers import local_psi, local_psi_grad
+from efglab.game import PLAYER1, flatten_profile
+from efglab.regularizers import (ENTROPY, argmax_regularized, full_simplex,
+                                 local_psi, local_psi_grad)
+from efglab.values import reach_flat
 
 
 def reach_probabilities(tree, profile):
@@ -123,3 +127,75 @@ def bregman_tree_direct(tree, profile, ref_profile, player, alpha, family):
                       - float(np.dot(local_psi_grad(pc, a_c, family), pc)))
             total -= g * (sf.seq[si][a] - sfr.seq[si][a])
     return total
+
+
+def _alpha_arr(tree, alpha):
+    if np.isscalar(alpha):
+        return np.full(tree.num_infosets, float(alpha))
+    return np.asarray(alpha, dtype=np.float64)
+
+
+def reg_best_response_recursive(tree, profile, player, tau=0.0, alpha=1.0,
+                                family=ENTROPY, simplexes=None):
+    """Best response of `player` in the perturbed, regularized game.
+
+    Maximizes expected utility minus tau times the player's own
+    reach-weighted regularizer plus tau times the opponent's, over local
+    policies constrained to the given truncated simplexes. Returns
+    (value, policies) with policies a dict over the player's infosets.
+    With tau = 0 and full simplexes this is the exact best response
+    (ties broken toward the lowest action index).
+    """
+    alpha = _alpha_arr(tree, alpha)
+    if simplexes is None:
+        simplexes = [full_simplex(s.num_actions) for s in tree.infosets]
+    flat = flatten_profile(tree, profile)
+    mu1, mu2, muc = reach_flat(tree, flat)
+    opp_mu = mu2 if player == PLAYER1 else mu1
+    w = muc * opp_mu
+
+    psi_opp = np.zeros(tree.num_infosets)
+    if tau != 0.0:
+        for si, s in enumerate(tree.infosets):
+            if s.owner != player:
+                psi_opp[si] = local_psi(profile[si], alpha[si], family)
+
+    down = np.full(tree.num_nodes, np.nan)
+    policies = {}
+
+    def resolve(h):
+        if not np.isnan(down[h]):
+            return down[h]
+        node = tree.nodes[h]
+        if node.is_terminal:
+            u = node.utility if player == PLAYER1 else -node.utility
+            val = w[h] * u
+        elif node.is_chance:
+            val = sum(resolve(c) for c in node.children)
+        elif node.owner != player:
+            val = sum(resolve(c) for c in node.children)
+            if tau != 0.0:
+                val += tau * w[h] * psi_opp[node.infoset]
+        else:
+            pol = policies[node.infoset]
+            val = float(np.dot(pol, [resolve(c) for c in node.children]))
+            if tau != 0.0:
+                val -= (tau * w[h]
+                        * local_psi(pol, alpha[node.infoset], family))
+        down[h] = val
+        return val
+
+    order = sorted(tree.infoset_ids(player),
+                   key=lambda si: -tree.infosets[si].own_depth)
+    for si in order:
+        s = tree.infosets[si]
+        qvec = np.zeros(s.num_actions)
+        w_s = 0.0
+        for h in s.members:
+            w_s += w[h]
+            for a, c in enumerate(tree.nodes[h].children):
+                qvec[a] += resolve(c)
+        x, _ = argmax_regularized(qvec, tau * w_s, alpha[si], family,
+                                  simplexes[si])
+        policies[si] = x
+    return resolve(tree.root), policies

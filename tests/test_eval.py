@@ -5,14 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from efglab.evaluate import (best_response, bregman_to_reference,
-                             compute_reference, exploitability,
-                             perturbed_regularized_gap)
-from efglab.game import (PLAYER1, PLAYER2, expected_utility, load_game,
-                         uniform_profile)
-from efglab.regularizers import ENTROPY, EUCLIDEAN
+from efglab.evaluate import (_reg_best_response, best_response,
+                             bregman_to_reference, compute_reference,
+                             exploitability, perturbed_regularized_gap)
+from efglab.game import (PLAYER1, PLAYER2, expected_utility,
+                         exploration_distribution, load_game,
+                         uniform_profile, unflatten_profile)
+from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
+                                 argmax_batch, argmax_regularized)
 from efglab.solvers import SolverParams, SolverState, cfr_step
 from efglab.values import CF, compute_feedback
+from oracles import reg_best_response_recursive
 
 
 def _pure_strategy_values(tree, profile, player):
@@ -196,3 +199,161 @@ def test_average_regret_bounds_exploitability(kuhn):
             player_bound += max(state.regret[off:off + na].max(), 0.0)
         bound += player_bound / T
     assert exploitability(kuhn, avg) <= bound + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The flat best response against the recursive oracle
+
+# Player 2's infoset 1 has one member right after player 1's first move and
+# one behind a chance node, so its members lie at node depths 1 and 2.
+MIXED_DEPTH_DOC = {
+    "name": "mixed-depth",
+    "root": 0,
+    "nodes": [
+        {"id": 0, "kind": "p1", "infoset": 0, "actions": [
+            {"label": "L", "child": 1}, {"label": "R", "child": 2}]},
+        {"id": 1, "kind": "p2", "infoset": 1, "actions": [
+            {"label": "a", "child": 3}, {"label": "b", "child": 4}]},
+        {"id": 2, "kind": "chance", "actions": [
+            {"label": "x", "child": 5, "prob": 0.3},
+            {"label": "y", "child": 6, "prob": 0.7}]},
+        {"id": 3, "kind": "p1", "infoset": 2, "actions": [
+            {"label": "u", "child": 7}, {"label": "d", "child": 8},
+            {"label": "s", "child": 15}]},
+        {"id": 4, "kind": "terminal", "utility_p1": 0.5},
+        {"id": 5, "kind": "p2", "infoset": 1, "actions": [
+            {"label": "a", "child": 9}, {"label": "b", "child": 10}]},
+        {"id": 6, "kind": "p2", "infoset": 3, "actions": [
+            {"label": "c", "child": 11}, {"label": "e", "child": 12}]},
+        {"id": 7, "kind": "terminal", "utility_p1": 1.0},
+        {"id": 8, "kind": "terminal", "utility_p1": -0.5},
+        {"id": 9, "kind": "p1", "infoset": 4, "actions": [
+            {"label": "u", "child": 13}, {"label": "d", "child": 14}]},
+        {"id": 10, "kind": "terminal", "utility_p1": -1.0},
+        {"id": 11, "kind": "terminal", "utility_p1": 0.25},
+        {"id": 12, "kind": "terminal", "utility_p1": -0.25},
+        {"id": 13, "kind": "terminal", "utility_p1": -0.75},
+        {"id": 14, "kind": "terminal", "utility_p1": 0.6},
+        {"id": 15, "kind": "terminal", "utility_p1": 0.1},
+    ],
+}
+
+TIE_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def mixed_depth():
+    return load_game(MIXED_DEPTH_DOC)
+
+
+def test_mixed_depth_game_shape(mixed_depth):
+    depths = [mixed_depth.nodes[h].depth
+              for h in mixed_depth.infosets[1].members]
+    assert sorted(depths) == [1, 2]
+
+
+def _setting(tree, name, rng):
+    """(tau, alpha, family, simplexes) of a named evaluation setting."""
+    if name == "tau0":
+        return 0.0, 1.0, ENTROPY, None
+    nu = exploration_distribution(tree)
+    simplexes = [TruncatedSimplex(0.05, nu[si])
+                 for si in range(tree.num_infosets)]
+    alpha = rng.uniform(0.5, 2.0, size=tree.num_infosets)
+    family = ENTROPY if name == "entropy" else EUCLIDEAN
+    return 0.05, alpha, family, simplexes
+
+
+def _profile(tree, kind, rng):
+    if kind == "interior":
+        return [rng.dirichlet(np.ones(n)) for n in tree.actions_per_infoset]
+    prof = []
+    for n in tree.actions_per_infoset:
+        x = np.zeros(n)
+        x[rng.integers(n)] = 1.0
+        prof.append(x)
+    return prof
+
+
+@pytest.mark.parametrize("kind", ["interior", "pure"])
+@pytest.mark.parametrize("setting", ["tau0", "entropy", "euclidean"])
+@pytest.mark.parametrize("game", ["kuhn", "leduc", "pennies", "mixed_depth"])
+def test_best_response_matches_recursive_oracle(game, setting, kind,
+                                                request, rng):
+    tree = request.getfixturevalue(game)
+    tau, alpha, family, simplexes = _setting(tree, setting, rng)
+    mixed_rows = 0
+    for _ in range(3 if game == "leduc" else 6):
+        prof = _profile(tree, kind, rng)
+        for player in (PLAYER1, PLAYER2):
+            want_v, want_pol = reg_best_response_recursive(
+                tree, prof, player, tau, alpha, family, simplexes)
+            got_v, flat = _reg_best_response(tree, prof, player, tau, alpha,
+                                             family, simplexes)
+            assert got_v == pytest.approx(want_v, rel=1e-12, abs=1e-12)
+            got = unflatten_profile(tree, flat)
+            for si in tree.infoset_ids(3 - player):
+                assert np.array_equal(got[si], prof[si])
+            # The oracle's action values at each infoset: counterfactual
+            # values under its response (an infoset's own policy and the
+            # shallower ones do not enter them).
+            resp = [np.asarray(x, dtype=float) for x in prof]
+            for si, x in want_pol.items():
+                resp[si] = x
+            fb = compute_feedback(tree, resp, CF, tau, alpha, family)
+            tau0 = tau * fb.opp_reach
+            mine = tree.infoset_ids(player)
+            mixed_rows += np.any(tau0[mine] <= 0) and np.any(tau0[mine] > 0)
+            for si in mine:
+                if tau0[si] > 0.0:
+                    assert np.allclose(got[si], want_pol[si], rtol=0.0,
+                                       atol=1e-12)
+                    continue
+                # Unreached infosets have all-zero values, an exact tie.
+                top = np.sort(fb.cf[si])[::-1]
+                if fb.opp_reach[si] == 0.0 or top[0] - top[1] > TIE_TOL:
+                    assert np.array_equal(got[si], want_pol[si])
+    if tau > 0.0 and kind == "pure" and game in ("kuhn", "leduc"):
+        # Zero-reach rows (tau0 = 0) share batches with tau0 > 0 rows.
+        assert mixed_rows > 0
+
+
+@pytest.mark.parametrize("game", ["kuhn", "pennies"])
+def test_exact_ties_break_to_the_lowest_index(game, request):
+    tree = request.getfixturevalue(game)
+    prof = uniform_profile(tree)
+    ties = 0
+    for player in (PLAYER1, PLAYER2):
+        _, br = best_response(tree, prof, player)
+        fb = compute_feedback(tree, br, CF)
+        for si in tree.infoset_ids(player):
+            q = fb.cf[si]
+            best = np.flatnonzero(q == q.max())
+            ties += best.shape[0] > 1
+            want = np.zeros(q.shape[0])
+            want[best[0]] = 1.0
+            assert np.array_equal(br[si], want)
+    assert ties > 0
+    if game == "pennies":
+        assert ties == 2
+
+
+def test_argmax_batch_equals_one_row_calls(rng):
+    for family in (ENTROPY, EUCLIDEAN):
+        for n in (2, 3, 5):
+            m = 40
+            Q = rng.normal(size=(m, n))
+            Q[::5] = Q[::5, :1]                       # exact ties
+            tau0 = rng.uniform(0.0, 1.0, size=m)
+            tau0[::3] = 0.0
+            alpha = rng.uniform(0.5, 2.0, size=m)
+            NU = rng.dirichlet(np.ones(n), size=m)
+            gamma = rng.uniform(0.0, 0.5, size=m)
+            gamma[::4] = 1.0 / NU[::4].sum(axis=1)    # tight floors
+            gamma[1::4] = 0.0
+            got = argmax_batch(family, Q, tau0, alpha, gamma, NU)
+            for i in range(m):
+                want, _ = argmax_regularized(
+                    Q[i], tau0[i], alpha[i], family,
+                    TruncatedSimplex(gamma[i], NU[i]))
+                assert np.array_equal(got[i], want)

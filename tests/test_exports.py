@@ -20,8 +20,8 @@ EXPORTS = [
     "lazy_catch_up", "lazy_qfr_step", "load_game", "local_psi",
     "local_psi_grad", "lr_schedule", "mmd_step", "opponent_reach",
     "os_mccfr_step", "perturbed_regularized_gap", "pga_step",
-    "project_truncated_simplex", "prox_entropy", "prox_euclidean",
-    "prox_step", "qfr_full_step", "qfr_lazy_eager_step",
+    "project_truncated_simplex", "prox_step", "qfr_full_step",
+    "qfr_lazy_eager_step",
     "qfr_stochastic_step", "random_profile", "resolve_game", "run",
     "run_single", "sample_trajectory", "save_game", "schedule_report",
     "unflatten_profile", "uniform_profile", "validate_perfect_recall",

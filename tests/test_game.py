@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efglab.game import (CHANCE, PLAYER1, PLAYER2, GameFormatError,
+from efglab.game import (CHANCE, PLAYER1, PLAYER2, GameFormatError, GameTree,
                          GameValidationError,
                          Infoset, Node, dump_game, expected_utility,
                          exploration_distribution, gamma_lower_bound,
@@ -114,6 +114,17 @@ def test_load_rejects_bad_chance_sum():
     }
     with pytest.raises(GameValidationError, match="chance probabilities"):
         load_game(doc)
+
+
+@pytest.mark.parametrize("nodes", [
+    [Node(utility=0.5)],
+    [Node(owner=CHANCE, actions=["a", "b"], children=[1, 2],
+          chance_probs=[0.5, 0.5]),
+     Node(utility=0.5), Node(utility=-0.5)],
+], ids=["terminal-root", "chance-only"])
+def test_tree_without_decision_nodes_is_rejected(nodes):
+    with pytest.raises(GameValidationError, match="no decision nodes"):
+        GameTree("x", nodes, [])
 
 
 def test_kuhn_round_trip(kuhn, rng):

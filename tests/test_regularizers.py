@@ -13,8 +13,7 @@ from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  argmax_regularized, bidilated_psi,
                                  bregman_local, bregman_tree, dilated_psi,
                                  full_simplex, local_psi, local_psi_grad,
-                                 project_truncated_simplex, prox_entropy,
-                                 prox_euclidean, prox_step)
+                                 project_truncated_simplex, prox_step)
 from oracles import bregman_tree_direct, reach_probabilities
 
 
@@ -263,7 +262,7 @@ def test_projection_nonexpansive(rng):
 
 def test_prox_entropy_identity():
     x0 = np.array([0.5, 0.3, 0.2])
-    out = prox_entropy(x0, np.zeros(3), 0.0, 0.7, 1.0, full_simplex(3))
+    out = prox_step(x0, np.zeros(3), 0.0, 0.7, 1.0, ENTROPY, full_simplex(3))
     assert np.allclose(out, x0, atol=1e-12)
 
 
@@ -271,7 +270,7 @@ def test_prox_entropy_softmax_form(rng):
     x0 = _random_interior(rng, 4)
     g = rng.normal(size=4)
     eta, alpha = 0.3, 1.4
-    out = prox_entropy(x0, g, 0.0, eta, alpha, full_simplex(4))
+    out = prox_step(x0, g, 0.0, eta, alpha, ENTROPY, full_simplex(4))
     want = x0 * np.exp(-eta * g / alpha)
     want /= want.sum()
     assert np.allclose(out, want, atol=1e-12)
@@ -280,8 +279,8 @@ def test_prox_entropy_softmax_form(rng):
 def test_prox_entropy_gamma_one_returns_nu(rng):
     nu = rng.dirichlet(np.ones(3))
     simplex = TruncatedSimplex(1.0, nu)
-    out = prox_entropy(_random_interior(rng, 3), rng.normal(size=3), 0.1,
-                       0.5, 1.0, simplex)
+    out = prox_step(_random_interior(rng, 3), rng.normal(size=3), 0.1,
+                    0.5, 1.0, ENTROPY, simplex)
     assert np.allclose(out, nu, atol=1e-12)
 
 
@@ -312,7 +311,7 @@ def test_prox_beats_feasible_grid(rng, family):
 def test_prox_euclidean_large_tau_shrinks_to_projection_of_zero(rng):
     simplex = TruncatedSimplex(0.1, np.full(4, 0.25))
     x0 = _feasible_samples(rng, simplex, 1)[0]
-    out = prox_euclidean(x0, rng.normal(size=4), 1e6, 0.5, 1.0, simplex)
+    out = prox_step(x0, rng.normal(size=4), 1e6, 0.5, 1.0, EUCLIDEAN, simplex)
     want = project_truncated_simplex(np.zeros(4), simplex)
     assert np.allclose(out, want, atol=1e-4)
 
@@ -328,7 +327,7 @@ def test_prox_euclidean_kkt_residual(rng):
         tau0 = float(rng.uniform(0.0, 1.0))
         eta = float(rng.uniform(0.05, 1.0))
         alpha = float(rng.uniform(0.5, 2.0))
-        x = prox_euclidean(x0, g, tau0, eta, alpha, simplex)
+        x = prox_step(x0, g, tau0, eta, alpha, EUCLIDEAN, simplex)
         assert simplex.contains(x, tol=1e-9)
         grad = g + tau0 * alpha * x + alpha * (x - x0) / eta
         ys = _feasible_samples(rng, simplex, 1000)
