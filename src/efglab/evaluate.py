@@ -1,7 +1,7 @@
 """Exact evaluation: best response, exploitability, regularized gaps.
 
 A best response fixes the responder's infosets one own-depth at a time,
-deepest first: one `feedback_flat` sweep values every infoset (its subtree
+deepest first: one value-to-go sweep values every infoset (its subtree
 holds only deeper, already fixed infosets of the responder) and one
 `argmax_batch` call per action count picks the policies at that depth. The
 opponent's regularizer enters linearly (it is weighted by the responder's
@@ -12,7 +12,8 @@ import numpy as np
 
 from .game import PLAYER1, PLAYER2, flatten_profile, unflatten_profile
 from .regularizers import ENTROPY, argmax_batch, bregman_tree
-from .values import CF, QVALUE, feedback_flat, value_to_go
+from .values import (QVALUE, counterfactual_values, infoset_reach,
+                     reach_flat, value_to_go)
 
 
 def _reg_best_response(tree, profile, player, tau=0.0, alpha=1.0,
@@ -40,9 +41,14 @@ def _reg_best_response(tree, profile, player, tau=0.0, alpha=1.0,
     mine = tree.infoset_owner == player
 
     flat = flatten_profile(tree, profile)
+    # One reach sweep serves every depth: the responder's choices change
+    # only the responder's own reach, and neither the responder's
+    # counterfactual values nor its opponent reach read it.
+    reach = reach_flat(tree, flat)
+    opp_reach = infoset_reach(tree, reach)[1]
     for d in range(max(own_depth[mine], default=0), 0, -1):
-        _, _, _, opp_reach, cf = feedback_flat(tree, flat, CF, tau, alpha,
-                                               family)
+        cf = counterfactual_values(
+            tree, reach, value_to_go(tree, flat, tau, alpha, family))
         at_d = mine & (own_depth == d)
         for n in set(counts[at_d].tolist()):
             ids = np.flatnonzero(at_d & (counts == n))

@@ -28,7 +28,6 @@ from .values import TRAJQ, infoset_reach, multiplier, reach_flat
 
 ALGOS = ("qfr", "qfr-stoch", "qfr-lazy", "pga", "cfr", "cfrplus", "osmccfr",
          "mmd")
-STOCHASTIC_ALGOS = ("qfr-stoch", "qfr-lazy", "osmccfr")
 CSV_FIELDS = ("seed", "iter", "expl_last", "expl_avg", "reg_gap",
               "bregman_ref", "wall_ms")
 
@@ -224,12 +223,11 @@ def write_csv(rows, path):
 # Grid search
 
 
-def _cell_worker(args):
-    cfg, reference = args
+def _cell_worker(cfg):
     seeds = list(range(cfg.seed, cfg.seed + cfg.reps))
     finals = []
     for s in seeds:
-        out = run_single(cfg, s, reference)
+        out = run_single(cfg, s)
         finals.append(out.rows[-1]["expl_last"])
     return float(np.mean(finals))
 
@@ -265,10 +263,9 @@ def grid(spec):
                                      out="", jobs=1))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            metrics = list(pool.map(_cell_worker,
-                                    [(c, None) for c in cells]))
+            metrics = list(pool.map(_cell_worker, cells))
     else:
-        metrics = [_cell_worker((c, None)) for c in cells]
+        metrics = [_cell_worker(c) for c in cells]
 
     results = [{"eta": c.eta, "tau": c.tau, "gamma": c.gamma, "expl": m,
                 "diverged": not np.isfinite(m)}

@@ -159,106 +159,56 @@ def bregman_tree(tree, profile, ref_profile, player, alpha, family):
 
 
 # ---------------------------------------------------------------------------
-# Projections
+# Floor fit, projection and proximal steps
 
 
-def _project_floored(Z, gamma, NU):
-    """Row-wise Euclidean projection onto {x >= gamma_i * nu_i, sum x = 1}.
+def floor_fit(family, Z, gamma, NU):
+    """Row-wise fit of Z to the perturbed simplex {x >= gamma * nu, sum x = 1}.
 
-    Shifts each row by its floor, projects onto the simplex of the
-    remaining mass by the sort-and-threshold rule, and shifts back. Rows
-    whose floor leaves no slack return the normalized floor.
+    Euclidean rows take x = max(Z - theta, gamma * nu), the projection;
+    entropy rows take x = max(Z / z, gamma * nu) for positive weights Z,
+    their normalization under floors. Pin-and-refit (Michelot, JOTA 1986):
+    pin every entry whose fitted value falls below its floor, refit the free
+    entries to the mass the pinned floors leave, and repeat until no free
+    entry falls below its floor. Pinned entries never come free again, so
+    this takes at most n passes. Rows with no slack, or whose entries all
+    pin under roundoff, return the normalized floor.
     """
-    NU = np.broadcast_to(NU, Z.shape)
     floor = gamma[:, None] * NU
     slack = 1.0 - floor.sum(axis=1)
-    out = np.empty_like(Z)
-    tight = slack <= 1e-15
-    if np.any(tight):
-        f = floor[tight]
-        out[tight] = f / f.sum(axis=1, keepdims=True)
-    rows = ~tight
-    if np.any(rows):
-        fl = floor[rows]
-        Y = Z[rows] - fl
-        srt = -np.sort(-Y, axis=1)
-        css = np.cumsum(srt, axis=1) - slack[rows][:, None]
-        ks = np.arange(1, Y.shape[1] + 1)
-        cond = srt - css / ks > 0.0
-        k = cond.shape[1] - np.argmax(cond[:, ::-1], axis=1)
-        theta = css[np.arange(Y.shape[0]), k - 1] / k
-        out[rows] = fl + np.maximum(Y - theta[:, None], 0.0)
+    if family == EUCLIDEAN:
+        Z = Z - floor  # fit the mass above the floors
+    free = np.repeat((slack > 1e-12)[:, None], Z.shape[1], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            zf = np.where(free, Z, 0.0).sum(axis=1)
+            if family == EUCLIDEAN:
+                theta = (zf - slack) / free.sum(axis=1)
+                fit = floor + (Z - theta[:, None])
+            else:
+                mass = 1.0 - np.where(free, 0.0, floor).sum(axis=1)
+                fit = Z / (zf / mass)[:, None]
+            below = free & (fit < floor)
+            if not below.any():
+                break
+            free &= ~below
+    out = np.where(free, fit, floor)
+    pinned = ~free.any(axis=1)
+    if pinned.any():
+        out[pinned] = floor[pinned] / floor[pinned].sum(axis=1, keepdims=True)
     return out
 
 
 def project_truncated_simplex(z, simplex):
     """Euclidean projection of z onto a truncated simplex."""
     z = np.asarray(z, dtype=np.float64)
-    return _project_floored(z[None, :], np.asarray([simplex.gamma]),
-                            simplex.nu[None, :])[0]
+    return floor_fit(EUCLIDEAN, z[None, :], np.asarray([simplex.gamma]),
+                     simplex.nu[None, :])[0]
 
-
-# ---------------------------------------------------------------------------
-# Proximal steps
 
 # The prox step solves
 #     min_x  <g, x> + tau0 * psi(x) + (1/eta) * D_psi(x, x0)
 # over the truncated simplex.
-
-
-def _entropy_floor_fit(xh, gamma, NU):
-    """Normalize candidate weights xh subject to floors gamma * nu, row-wise.
-
-    The floored set is found by scanning prefixes of the entries sorted by
-    xh_a / nu_a ascending: flooring the k smallest ratios, the scale for the
-    rest is Z_k = (remaining weight) / (remaining mass); the unique
-    consistent k is the first one whose boundary entries respect the floor
-    on both sides.
-    """
-    m, n = xh.shape
-    NU = np.broadcast_to(NU, xh.shape)
-    floor = gamma[:, None] * NU
-    slack = 1.0 - floor.sum(axis=1)
-    out = np.empty_like(xh)
-
-    tight = slack <= 1e-12
-    if np.any(tight):
-        f = floor[tight]
-        out[tight] = f / f.sum(axis=1, keepdims=True)
-    rows = ~tight
-    if not np.any(rows):
-        return out
-    xh, NU, fl = xh[rows], NU[rows], floor[rows]
-    g = gamma[rows]
-    order = np.argsort(xh / NU, axis=1, kind="stable")
-    xs = np.take_along_axis(xh, order, axis=1)
-    ns = np.take_along_axis(NU, order, axis=1)
-    csx = np.cumsum(xs, axis=1)
-    csn = np.cumsum(ns, axis=1)
-    totx = csx[:, -1][:, None]
-    # Candidate k = number of floored entries, k = 0..n-1.
-    prevx = np.concatenate([np.zeros((xs.shape[0], 1)), csx[:, :-1]], axis=1)
-    prevn = np.concatenate([np.zeros((ns.shape[0], 1)), csn[:, :-1]], axis=1)
-    remx = totx - prevx
-    denom = 1.0 - g[:, None] * prevn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Z = remx / denom
-    gn = g[:, None] * ns
-    ok_hi = xs >= Z * gn - 1e-18                    # entry k stays unfloored
-    prev_below = np.concatenate(
-        [np.ones((xs.shape[0], 1), dtype=bool),
-         xs[:, :-1] <= Z[:, 1:] * gn[:, :-1] + 1e-18], axis=1)
-    valid = ok_hi & prev_below & (denom > 0.0) & (Z > 0.0)
-    k = np.argmax(valid, axis=1)
-    Zk = Z[np.arange(Z.shape[0]), k]
-    res_sorted = np.where(np.arange(xs.shape[1]) < k[:, None],
-                          gn, xs / Zk[:, None])
-    res = np.empty_like(res_sorted)
-    np.put_along_axis(res, order, res_sorted, axis=1)
-    # Enforce exact feasibility against roundoff.
-    res = np.maximum(res, fl)
-    out[rows] = res / res.sum(axis=1, keepdims=True)
-    return out
 
 
 def prox_batch(family, X0, G, tau0, eta, alpha, gamma, NU):
@@ -267,12 +217,12 @@ def prox_batch(family, X0, G, tau0, eta, alpha, gamma, NU):
         c = 1.0 + eta * tau0
         logx0 = np.log(np.clip(X0, _TINY, None))
         logxh = logx0 / c[:, None] - (eta / (alpha * c))[:, None] * G
-        logxh -= logxh.max(axis=1, keepdims=True)
-        return _entropy_floor_fit(np.exp(logxh), gamma, NU)
-    if family == EUCLIDEAN:
-        xh = (X0 - (eta / alpha)[:, None] * G) / (1.0 + eta * tau0)[:, None]
-        return _project_floored(xh, gamma, NU)
-    raise ValueError(f"unknown regularizer family {family!r}")
+        Z = np.exp(logxh - logxh.max(axis=1, keepdims=True))
+    elif family == EUCLIDEAN:
+        Z = (X0 - (eta / alpha)[:, None] * G) / (1.0 + eta * tau0)[:, None]
+    else:
+        raise ValueError(f"unknown regularizer family {family!r}")
+    return floor_fit(family, Z, gamma, NU)
 
 
 def prox_step(x0, g, tau0, eta, alpha, family, simplex):
@@ -316,10 +266,8 @@ def argmax_batch(family, Q, tau0, alpha, gamma, NU):
     if np.any(rows):
         Z = Q[rows] / (alpha[rows] * tau0[rows])[:, None]
         if family == ENTROPY:
-            Z -= Z.max(axis=1, keepdims=True)
-            out[rows] = _entropy_floor_fit(np.exp(Z), gamma[rows], NU[rows])
-        else:
-            out[rows] = _project_floored(Z, gamma[rows], NU[rows])
+            Z = np.exp(Z - Z.max(axis=1, keepdims=True))
+        out[rows] = floor_fit(family, Z, gamma[rows], NU[rows])
     return out
 
 

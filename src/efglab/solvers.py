@@ -13,8 +13,8 @@ import numpy as np
 
 from .game import (PLAYER1, PLAYER2, exploration_distribution,
                    gamma_lower_bound, unflatten_profile)
-from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex, prox_batch,
-                           project_truncated_simplex)
+from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex, floor_fit,
+                           prox_batch)
 from .values import (CF, QVALUE, TRAJQ, estimate_trajectory_q, feedback_flat,
                      infoset_reach, reach_flat, sample_trajectory)
 
@@ -89,11 +89,11 @@ class SolverState:
     lists are persistent per-infoset views into them."""
 
     def __init__(self, tree, params):
-        pieces = []
-        for si, s in enumerate(tree.infosets):
-            u = np.full(s.num_actions, 1.0 / s.num_actions)
-            pieces.append(project_truncated_simplex(u, params.simplexes[si]))
-        self.cur = np.concatenate(pieces)
+        # Uniform strategies, projected onto the perturbed simplexes.
+        self.cur = np.empty(tree.num_pairs)
+        for idx, pairs, NU in params.groups:
+            U = np.full(pairs.shape, 1.0 / pairs.shape[1])
+            self.cur[pairs] = floor_fit(EUCLIDEAN, U, params.gamma[idx], NU)
         self.bar = self.cur.copy()
         self.cur_views = unflatten_profile(tree, self.cur)
         self.bar_views = unflatten_profile(tree, self.bar)
@@ -196,15 +196,21 @@ def pga_step(state, tree, params):
 # Regret-matching baselines
 
 
+def _normalize_or_uniform(tree, w):
+    """Normalize flat non-negative weights per infoset; uniform where an
+    infoset's weights sum to 0."""
+    sums = np.bincount(tree.pair_infoset, weights=w,
+                       minlength=tree.num_infosets)
+    rep = sums[tree.pair_infoset]
+    uniform = 1.0 / tree.actions_per_infoset[tree.pair_infoset]
+    return np.where(rep > 0.0, w / np.where(rep > 0.0, rep, 1.0), uniform)
+
+
 def _regret_matching(state, tree, pair_mask=None):
     pos = np.maximum(state.regret, 0.0)
     if pair_mask is not None:
         pos = np.where(pair_mask, pos, 0.0)
-    sums = np.bincount(tree.pair_infoset, weights=pos,
-                       minlength=tree.num_infosets)
-    rep = sums[tree.pair_infoset]
-    uniform = 1.0 / tree.actions_per_infoset[tree.pair_infoset]
-    new = np.where(rep > 0.0, pos / np.where(rep > 0.0, rep, 1.0), uniform)
+    new = _normalize_or_uniform(tree, pos)
     if pair_mask is None:
         state.cur[:] = new
     else:
@@ -241,12 +247,7 @@ def cfr_plus_step(state, tree, params):
 
 def average_profile(state, tree):
     """Normalized accumulated average strategy (uniform where untouched)."""
-    sums = np.bincount(tree.pair_infoset, weights=state.strat_sum,
-                       minlength=tree.num_infosets)
-    rep = sums[tree.pair_infoset]
-    uniform = 1.0 / tree.actions_per_infoset[tree.pair_infoset]
-    flat = np.where(rep > 0.0, state.strat_sum / np.where(rep > 0.0, rep, 1.0),
-                    uniform)
+    flat = _normalize_or_uniform(tree, state.strat_sum)
     return [a.copy() for a in unflatten_profile(tree, flat)]
 
 

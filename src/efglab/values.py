@@ -134,6 +134,20 @@ def value_to_go(tree, flat, tau, alpha, family):
     return t
 
 
+def counterfactual_values(tree, reach, t):
+    """Flat counterfactual values of every (infoset, action) pair for its
+    owner, from reach_flat's output and value_to_go's player-1 values."""
+    mu1, mu2, muc = reach
+    dec = tree.edge_pair >= 0
+    par = tree.edge_parent[dec]
+    ch = tree.edge_child[dec]
+    own_is1 = tree.edge_owner[dec] == PLAYER1
+    wpar = muc[par] * np.where(own_is1, mu2[par], mu1[par])
+    tval = np.where(own_is1, t[ch], -t[ch])
+    return np.bincount(tree.edge_pair[dec], weights=wpar * tval,
+                       minlength=tree.num_pairs)
+
+
 def feedback_flat(tree, flat, kind, tau=0.0, alpha=1.0, family=None):
     """Flat-array core of compute_feedback.
 
@@ -145,19 +159,10 @@ def feedback_flat(tree, flat, kind, tau=0.0, alpha=1.0, family=None):
     if tau != 0.0 and family is None:
         raise ValueError("tau > 0 requires a regularizer family")
 
-    mu1, mu2, muc = reach_flat(tree, flat)
+    reach = reach_flat(tree, flat)
     t = value_to_go(tree, flat, tau, alpha, family)
-
-    dec = tree.edge_pair >= 0
-    par = tree.edge_parent[dec]
-    ch = tree.edge_child[dec]
-    own_is1 = tree.edge_owner[dec] == PLAYER1
-    wpar = muc[par] * np.where(own_is1, mu2[par], mu1[par])
-    tval = np.where(own_is1, t[ch], -t[ch])
-    cf_flat = np.bincount(tree.edge_pair[dec], weights=wpar * tval,
-                          minlength=tree.num_pairs)
-
-    own_reach, opp_reach = infoset_reach(tree, (mu1, mu2, muc))
+    cf_flat = counterfactual_values(tree, reach, t)
+    own_reach, opp_reach = infoset_reach(tree, reach)
     m = multiplier(kind, own_reach, opp_reach)
     if kind == CF:
         q_flat = cf_flat

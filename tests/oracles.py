@@ -4,9 +4,10 @@ Each oracle works node by node or in sequence form, apart from
 `efglab.values.reach_flat`: per-node reach by one parent-before-child pass,
 sequence-form realization plans by recursion over parent sequences,
 expected utility by backward traversal, the dilated Bregman divergence
-from its sequence-form definition, and the regularized best response by a
+from its sequence-form definition, the regularized best response by a
 memoized recursion over nodes with one `argmax_regularized` call per
-infoset.
+infoset, and both floor fits of `efglab.regularizers.floor_fit` by the
+sort-and-threshold rules.
 """
 
 import numpy as np
@@ -199,3 +200,87 @@ def reg_best_response_recursive(tree, profile, player, tau=0.0, alpha=1.0,
                                   simplexes[si])
         policies[si] = x
     return resolve(tree.root), policies
+
+
+def project_floored_sort(Z, gamma, NU):
+    """Row-wise Euclidean projection onto {x >= gamma_i * nu_i, sum x = 1}.
+
+    Shifts each row by its floor, projects onto the simplex of the
+    remaining mass by the sort-and-threshold rule, and shifts back. Rows
+    whose floor leaves no slack return the normalized floor.
+    """
+    NU = np.broadcast_to(NU, Z.shape)
+    floor = gamma[:, None] * NU
+    slack = 1.0 - floor.sum(axis=1)
+    out = np.empty_like(Z)
+    tight = slack <= 1e-15
+    if np.any(tight):
+        f = floor[tight]
+        out[tight] = f / f.sum(axis=1, keepdims=True)
+    rows = ~tight
+    if np.any(rows):
+        fl = floor[rows]
+        Y = Z[rows] - fl
+        srt = -np.sort(-Y, axis=1)
+        css = np.cumsum(srt, axis=1) - slack[rows][:, None]
+        ks = np.arange(1, Y.shape[1] + 1)
+        cond = srt - css / ks > 0.0
+        k = cond.shape[1] - np.argmax(cond[:, ::-1], axis=1)
+        theta = css[np.arange(Y.shape[0]), k - 1] / k
+        out[rows] = fl + np.maximum(Y - theta[:, None], 0.0)
+    return out
+
+
+def entropy_floor_fit_sort(xh, gamma, NU):
+    """Normalize candidate weights xh subject to floors gamma * nu, row-wise.
+
+    The floored set is found by scanning prefixes of the entries sorted by
+    xh_a / nu_a ascending: flooring the k smallest ratios, the scale for the
+    rest is Z_k = (remaining weight) / (remaining mass); the unique
+    consistent k is the first one whose boundary entries respect the floor
+    on both sides.
+    """
+    m, n = xh.shape
+    NU = np.broadcast_to(NU, xh.shape)
+    floor = gamma[:, None] * NU
+    slack = 1.0 - floor.sum(axis=1)
+    out = np.empty_like(xh)
+
+    tight = slack <= 1e-12
+    if np.any(tight):
+        f = floor[tight]
+        out[tight] = f / f.sum(axis=1, keepdims=True)
+    rows = ~tight
+    if not np.any(rows):
+        return out
+    xh, NU, fl = xh[rows], NU[rows], floor[rows]
+    g = gamma[rows]
+    order = np.argsort(xh / NU, axis=1, kind="stable")
+    xs = np.take_along_axis(xh, order, axis=1)
+    ns = np.take_along_axis(NU, order, axis=1)
+    csx = np.cumsum(xs, axis=1)
+    csn = np.cumsum(ns, axis=1)
+    totx = csx[:, -1][:, None]
+    # Candidate k = number of floored entries, k = 0..n-1.
+    prevx = np.concatenate([np.zeros((xs.shape[0], 1)), csx[:, :-1]], axis=1)
+    prevn = np.concatenate([np.zeros((ns.shape[0], 1)), csn[:, :-1]], axis=1)
+    remx = totx - prevx
+    denom = 1.0 - g[:, None] * prevn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Z = remx / denom
+    gn = g[:, None] * ns
+    ok_hi = xs >= Z * gn - 1e-18                    # entry k stays unfloored
+    prev_below = np.concatenate(
+        [np.ones((xs.shape[0], 1), dtype=bool),
+         xs[:, :-1] <= Z[:, 1:] * gn[:, :-1] + 1e-18], axis=1)
+    valid = ok_hi & prev_below & (denom > 0.0) & (Z > 0.0)
+    k = np.argmax(valid, axis=1)
+    Zk = Z[np.arange(Z.shape[0]), k]
+    res_sorted = np.where(np.arange(xs.shape[1]) < k[:, None],
+                          gn, xs / Zk[:, None])
+    res = np.empty_like(res_sorted)
+    np.put_along_axis(res, order, res_sorted, axis=1)
+    # Enforce exact feasibility against roundoff.
+    res = np.maximum(res, fl)
+    out[rows] = res / res.sum(axis=1, keepdims=True)
+    return out

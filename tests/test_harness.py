@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ EXPECTED_HEADER = "seed,iter,expl_last,expl_avg,reg_gap,bregman_ref,wall_ms"
 def _read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
+
+
+def _strip_wall_rows(rows):
+    return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
 
 
 def _strip_wall(lines):
@@ -127,8 +132,7 @@ def test_grid_ranks_and_keeps_divergent_cells():
 def test_grid_ranks_non_finite_cells_last(monkeypatch):
     from efglab import harness
 
-    def fake_worker(args):
-        cfg, _ = args
+    def fake_worker(cfg):
         return {0.1: float("nan"), 0.01: 0.5, 0.001: float("inf"),
                 0.0001: 0.25}[cfg.eta]
 
@@ -144,11 +148,13 @@ def test_grid_ranks_non_finite_cells_last(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_grid_marks_a_diverged_best_cell(tmp_path, capsys):
+    # Projected steps stay in the simplex for every finite step size, so
+    # an infinite one is what makes the iterate non-finite.
     spec_path = tmp_path / "g.json"
     spec_path.write_text(json.dumps({
         "game": "kuhn", "algo": "pga", "feedback": "cf", "iters": 5,
         "eval_every": 5, "reg": "euclidean",
-        "grid": {"eta": [1e300], "tau": [0.0], "gamma": [0.01]}}))
+        "grid": {"eta": [float("inf")], "tau": [0.0], "gamma": [0.01]}}))
     assert cli_main(["grid", "--spec", str(spec_path)]) == 0
     out = capsys.readouterr().out
     assert "expl=nan (diverged" in out
@@ -188,6 +194,24 @@ def test_run_single_matches_run(tmp_path):
         [r["expl_last"] for r in merged.rows]
 
 
+def test_two_jobs_give_the_rows_of_one():
+    cfg = RunConfig(game="kuhn", algo="qfr-stoch", feedback="tq", tau=0.01,
+                    gamma=0.05, eta=0.05, iters=60, eval_every=30, seed=3,
+                    reps=2)
+    one = run(cfg)
+    two = run(replace(cfg, jobs=2))
+    assert _strip_wall_rows(two.rows) == _strip_wall_rows(one.rows)
+    assert two.m_violations == one.m_violations
+
+
+def test_grid_ranking_does_not_depend_on_jobs():
+    spec = {"game": "kuhn", "algo": "qfr", "feedback": "q", "iters": 20,
+            "eval_every": 20, "reps": 2,
+            "grid": {"eta": [0.1, 0.01], "tau": [0.01], "gamma": [0.01, 0.1]}}
+    ranked, _ = grid(spec)
+    assert grid({**spec, "jobs": 2})[0] == ranked
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -202,6 +226,20 @@ def test_cli_run(tmp_path, capsys):
     assert "m-bound violations: 0" in capsys.readouterr().out
     assert out.exists()
     assert _read_csv(out)[0] == EXPECTED_HEADER.split(",")
+
+
+def test_cli_run_anneals_tau(tmp_path):
+    args = ["run", "--game", "kuhn", "--algo", "qfr", "--feedback", "q",
+            "--tau", "0.1", "--gamma", "0.01", "--eta", "0.05", "--iters",
+            "40", "--eval-every", "10"]
+    plain, annealed = tmp_path / "plain.csv", tmp_path / "annealed.csv"
+    assert cli_main(args + ["--out", str(plain)]) == 0
+    assert cli_main(args + ["--anneal-decay", "0.5", "--anneal-every", "10",
+                            "--out", str(annealed)]) == 0
+    rows_plain = _strip_wall(_read_csv(plain))
+    rows_annealed = _strip_wall(_read_csv(annealed))
+    assert rows_annealed[:2] == rows_plain[:2]  # header; first decay at 10
+    assert rows_annealed[2:] != rows_plain[2:]
 
 
 def test_cli_grid(tmp_path, capsys):
@@ -271,7 +309,7 @@ def test_cli_run_reports_non_finite_metric(tmp_path, capsys):
     with np.errstate(all="ignore"):
         rc = cli_main(["run", "--game", "kuhn", "--algo", "pga",
                        "--feedback", "cf", "--reg", "euclidean",
-                       "--eta", "1e300", "--gamma", "0.01", "--iters", "5",
+                       "--eta", "inf", "--gamma", "0.01", "--iters", "5",
                        "--eval-every", "5", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()

@@ -12,9 +12,11 @@ from efglab.games import build_kuhn, build_matching_pennies
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  argmax_regularized, bidilated_psi,
                                  bregman_local, bregman_tree, dilated_psi,
-                                 full_simplex, local_psi, local_psi_grad,
-                                 project_truncated_simplex, prox_step)
-from oracles import bregman_tree_direct, reach_probabilities
+                                 floor_fit, full_simplex, local_psi,
+                                 local_psi_grad, project_truncated_simplex,
+                                 prox_step)
+from oracles import (bregman_tree_direct, entropy_floor_fit_sort,
+                     project_floored_sort, reach_probabilities)
 
 
 def _random_simplex_point(rng, n):
@@ -254,6 +256,64 @@ def test_projection_nonexpansive(rng):
         p1 = project_truncated_simplex(z1, simplex)
         p2 = project_truncated_simplex(z2, simplex)
         assert np.linalg.norm(p1 - p2) <= np.linalg.norm(z1 - z2) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Floor fit
+
+
+FIT_GAMMAS = [0.0, 1e-3, 0.05, 0.3, 1.0 - 1e-9, 1.0]
+
+
+def _fit_rows(rng, family, m, n):
+    """Random fit inputs: entropy weights with maximum 1, some underflowed
+    to 0, and Euclidean points up to 1e6 in magnitude; every row has an
+    exact tie."""
+    scales = ([0.1, 1.0, 10.0, 800.0] if family == ENTROPY
+              else [1e-2, 1.0, 1e2, 1e6])
+    Z = rng.normal(size=(m, n)) * rng.choice(scales, size=(m, 1))
+    Z[:, -1] = Z[:, int(rng.integers(0, n - 1))]
+    if family == ENTROPY:
+        Z = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return Z
+
+
+@pytest.mark.parametrize("family", [ENTROPY, EUCLIDEAN])
+def test_floor_fit_matches_sort_oracles(rng, family):
+    oracle = (entropy_floor_fit_sort if family == ENTROPY
+              else project_floored_sort)
+    for n in range(2, 6):
+        for _ in range(100):
+            m = int(rng.integers(1, 9))
+            Z = _fit_rows(rng, family, m, n)
+            NU = rng.dirichlet(np.ones(n), size=m)
+            gamma = rng.choice(FIT_GAMMAS, size=m)
+            got = floor_fit(family, Z, gamma, NU)
+            assert np.max(np.abs(got - oracle(Z, gamma, NU))) <= 1e-14
+            for i in range(m):
+                assert TruncatedSimplex(gamma[i], NU[i]).contains(got[i])
+            # A row's result does not depend on the other rows of its batch.
+            i = int(rng.integers(0, m))
+            alone = floor_fit(family, Z[i:i + 1], gamma[i:i + 1],
+                              NU[i:i + 1])[0]
+            assert np.array_equal(alone, got[i])
+
+
+def test_fits_with_slack_below_roundoff_stay_in_the_set():
+    # A slack of 1e-13 is below the resolution of inputs near 1e3, and one
+    # of 1e-11 below that of inputs near 1e7: such rows must still land on
+    # the perturbed simplex, not lose the slack to cancellation.
+    nu = np.array([0.12889026, 0.62157273, 0.24953701])
+    sx = TruncatedSimplex(1.0 - 1e-13, nu)
+    x = project_truncated_simplex([1500.0, -200.0, 900.0], sx)
+    assert sx.contains(x)
+    x, _ = argmax_regularized([1.0, 0.2, 0.5], 1e-4, 1.0, EUCLIDEAN, sx)
+    assert sx.contains(x)
+    sx = TruncatedSimplex(1.0 - 1e-11, nu)
+    for z in ([1e7, -1e7, 3e6], [1e7, 1e7, 1e7], [-2e7, 9e6, 9e6 + 2.0]):
+        x = project_truncated_simplex(z, sx)
+        assert sx.contains(x)
+        assert np.allclose(x, sx.floor(), rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -504,3 +504,9 @@ def test_check_m_bounds_counts():
     c = GameConstants(m1=1.0, m2=10.0)
     assert check_m_bounds(np.array([1.0, 5.0, 10.0]), c) == 0
     assert check_m_bounds(np.array([0.5, 5.0, 11.0]), c) == 2
+
+
+def test_effective_tau_anneals_geometrically(kuhn):
+    params = SolverParams(kuhn, tau=0.1, anneal_decay=0.5, anneal_every=10)
+    assert params.effective_tau(25) == 0.025
+    assert params.effective_tau(9) == 0.1
