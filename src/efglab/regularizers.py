@@ -177,7 +177,14 @@ def floor_fit(family, Z, gamma, NU):
     floor = gamma[:, None] * NU
     slack = 1.0 - floor.sum(axis=1)
     if family == EUCLIDEAN:
-        Z = Z - floor  # fit the mass above the floors
+        # Fit the mass above the floors. The projection is unchanged by a
+        # shift of the whole row, and after the max shift every entry at or
+        # below -slack pins, so clamping there changes no fit. The free
+        # entries then lie within [-slack, 0]: theta never cancels against
+        # a large row, and an overflowed difference cannot reach it.
+        Z = Z - floor
+        with np.errstate(over="ignore"):
+            Z = np.maximum(Z - Z.max(axis=1, keepdims=True), -slack[:, None])
     free = np.repeat((slack > 1e-12)[:, None], Z.shape[1], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:

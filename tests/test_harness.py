@@ -148,8 +148,8 @@ def test_grid_ranks_non_finite_cells_last(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_grid_marks_a_diverged_best_cell(tmp_path, capsys):
-    # Projected steps stay in the simplex for every finite step size, so
-    # an infinite one is what makes the iterate non-finite.
+    # An infinite step makes the iterate non-finite; a huge finite one
+    # projects to a floored vertex (see the 1e300 test below).
     spec_path = tmp_path / "g.json"
     spec_path.write_text(json.dumps({
         "game": "kuhn", "algo": "pga", "feedback": "cf", "iters": 5,
@@ -305,6 +305,7 @@ def test_cli_bestresp_rejects_malformed_profile(tmp_path, capsys, row,
 
 
 def test_cli_run_reports_non_finite_metric(tmp_path, capsys):
+    # An infinite step makes the PGA iterate non-finite.
     out = tmp_path / "r.csv"
     with np.errstate(all="ignore"):
         rc = cli_main(["run", "--game", "kuhn", "--algo", "pga",
@@ -318,6 +319,16 @@ def test_cli_run_reports_non_finite_metric(tmp_path, capsys):
     lines = _read_csv(out)
     assert lines[0] == EXPECTED_HEADER.split(",")
     assert lines[1][2] == "nan"
+
+
+def test_cli_run_with_a_huge_finite_step_reports_a_finite_metric(tmp_path):
+    out = tmp_path / "r.csv"
+    rc = cli_main(["run", "--game", "kuhn", "--algo", "pga",
+                   "--feedback", "cf", "--reg", "euclidean",
+                   "--eta", "1e300", "--gamma", "0.01", "--iters", "5",
+                   "--eval-every", "5", "--out", str(out)])
+    assert rc == 0
+    assert np.isfinite(float(_read_csv(out)[1][2]))
 
 
 def test_cli_bestresp_missing_profile_file(tmp_path, capsys):

@@ -289,7 +289,11 @@ def test_floor_fit_matches_sort_oracles(rng, family):
             NU = rng.dirichlet(np.ones(n), size=m)
             gamma = rng.choice(FIT_GAMMAS, size=m)
             got = floor_fit(family, Z, gamma, NU)
-            assert np.max(np.abs(got - oracle(Z, gamma, NU))) <= 1e-14
+            # Z - gamma * nu rounds at the resolution of Z, so the two fits
+            # may differ by that much on large rows (1e-10 near 1e6).
+            tol = 1e-14 * np.maximum(1.0, np.abs(Z).max(axis=1))
+            assert np.all(np.abs(got - oracle(Z, gamma, NU)).max(axis=1)
+                          <= tol)
             for i in range(m):
                 assert TruncatedSimplex(gamma[i], NU[i]).contains(got[i])
             # A row's result does not depend on the other rows of its batch.
@@ -314,6 +318,31 @@ def test_fits_with_slack_below_roundoff_stay_in_the_set():
         x = project_truncated_simplex(z, sx)
         assert sx.contains(x)
         assert np.allclose(x, sx.floor(), rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e16, 1e100, 1e300, 1.7e308])
+def test_euclidean_fit_of_huge_rows_stays_in_the_set(scale):
+    # The slack of 0.99 is far below the resolution of such rows, so the
+    # fit must not subtract it from them; at 1.7e308 the row's spread also
+    # overflows.
+    sx = TruncatedSimplex(0.01, np.array([0.2, 0.3, 0.5]))
+    vertex = sx.floor() + 0.99 * np.eye(3)
+    cases = [([-scale, scale, 0.0], vertex[1]),
+             ([scale, -scale, 0.3 * scale], vertex[0]),
+             ([-scale, 1.0, -scale], vertex[1]),
+             ([0.0, -scale, -np.inf], vertex[0]),
+             ([scale, scale, -scale], sx.floor() + [0.495, 0.495, 0.0])]
+    for z, want in cases:
+        x = project_truncated_simplex(z, sx)
+        assert sx.contains(x)
+        assert np.allclose(x, want, rtol=0.0, atol=1e-15)
+    # The prox and argmax reach the fit with such rows at huge steps.
+    x = prox_step([0.4, 0.6], [1.0, -1.0], 0.0, scale, 1.0, EUCLIDEAN,
+                  TruncatedSimplex(0.01, np.array([0.5, 0.5])))
+    assert np.allclose(x, [0.005, 0.995], rtol=0.0, atol=1e-15)
+    x, _ = argmax_regularized([1.0, -1.0], 1.0 / scale, 1.0, EUCLIDEAN,
+                              TruncatedSimplex(0.01, np.array([0.5, 0.5])))
+    assert np.allclose(x, [0.995, 0.005], rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

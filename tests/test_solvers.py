@@ -259,6 +259,18 @@ def test_pga_zero_eta_fixed_point(kuhn):
     assert np.allclose(state.cur, before, atol=1e-12)
 
 
+@pytest.mark.parametrize("eta", [1e300, 1e308])
+def test_pga_iterates_stay_in_the_truncated_simplexes_at_huge_steps(kuhn,
+                                                                     eta):
+    params = SolverParams(kuhn, feedback=CF, family=EUCLIDEAN, tau=0.0,
+                          gamma=0.01, eta=eta)
+    state = SolverState(kuhn, params)
+    for _ in range(5):
+        pga_step(state, kuhn, params)
+        for si, x in enumerate(state.cur_views):
+            assert params.simplexes[si].contains(x, tol=1e-12)
+
+
 def test_pga_depth_schedule_average_converges(kuhn):
     params = SolverParams(kuhn, feedback=CF, tau=0.0, gamma=0.0, eta=0.02,
                           schedule="depth:0.5")
