@@ -85,7 +85,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        outcome = run(_cfg_from_args(args))
+        try:
+            cfg = _cfg_from_args(args)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        outcome = run(cfg)
         last = outcome.rows[-1]
         print(f"rows: {len(outcome.rows)}  m-bound violations: "
               f"{outcome.m_violations}")
@@ -104,7 +109,11 @@ def main(argv=None):
         return 0
 
     if args.command == "grid":
-        ranked, best = grid(args.spec)
+        try:
+            ranked, best = grid(args.spec)
+        except (OSError, ValueError) as e:
+            print(f"error: {args.spec}: {e}", file=sys.stderr)
+            return 2
         print(f"cells: {len(ranked)}")
         print(f"best: eta={best['eta']} tau={best['tau']} "
               f"gamma={best['gamma']} expl={best['expl']:.6g}"

@@ -102,19 +102,44 @@ def bregman_to_reference(tree, profile, reference, alpha=1.0,
             + bregman_tree(tree, reference, profile, PLAYER2, alpha, family))
 
 
+# Gap checks without a new best gap before compute_reference halves its
+# step size and restarts from the best iterate.
+STALL_CHECKS = 3
+
+
 def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
-                      tol=1e-7, eta=0.05, max_iters=500_000,
+                      tol=1e-7, eta=4.0, max_iters=500_000,
                       check_every=100):
     """Solve the perturbed, regularized game to gap <= tol.
 
     Runs the full-information optimistic solver with q-value feedback and
-    returns (reference_profile, gap). Raises if the budget is exhausted.
+    returns (reference_profile, gap), where gap is the full-tree
+    `perturbed_regularized_gap` of the returned center profile and is
+    <= tol. The gap is checked every `check_every` steps (and at step
+    `max_iters`); raises RuntimeError if the budget of `max_iters` steps is
+    exhausted first.
+
+    `eta` is the first step size. On the regularized game a larger step
+    converges faster, up to a size at which the gap stalls above tol, so
+    the step size adapts: each check that sets a new best gap snapshots the
+    iterate, and after STALL_CHECKS checks in a row without one (a
+    non-finite gap never counts as one) the step size halves and the
+    solver restarts from the best snapshot, or from the start if no check
+    has yet set a best gap.
     """
     from .solvers import SolverParams, SolverState, qfr_full_step
+    if not (np.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if check_every < 1:
+        raise ValueError(f"check_every must be at least 1, got {check_every}")
     params = SolverParams(tree, feedback=QVALUE, family=family, alpha=alpha,
                           tau=tau, gamma=gamma, eta=eta)
     state = SolverState(tree, params)
     simplexes = params.simplexes
+    best_gap, best_bar, best_cur = np.inf, state.bar.copy(), state.cur.copy()
+    stalled = 0
     for it in range(1, max_iters + 1):
         qfr_full_step(state, tree, params)
         if it % check_every == 0 or it == max_iters:
@@ -123,6 +148,18 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
                                             simplexes)
             if gap <= tol:
                 return prof, gap
+            if gap < best_gap:
+                best_gap, stalled = gap, 0
+                best_bar[:] = state.bar
+                best_cur[:] = state.cur
+            else:
+                stalled += 1
+            if stalled == STALL_CHECKS:
+                # In place, so the state's per-infoset views stay valid.
+                params.eta *= 0.5
+                state.bar[:] = best_bar
+                state.cur[:] = best_cur
+                stalled = 0
     raise RuntimeError(
         f"reference solve did not reach gap <= {tol} in {max_iters} "
         f"iterations (last gap {gap})")

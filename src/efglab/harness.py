@@ -60,6 +60,17 @@ class RunConfig:
     out: str = ""
     jobs: int = 1
 
+    def __post_init__(self):
+        # A run spec is an input boundary: a bad rate would otherwise
+        # surface only as a non-finite metric after every iteration.
+        for name, positive in (("eta", True), ("tau", False),
+                               ("gamma", False)):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v < 0.0 or (positive and v == 0.0):
+                kind = "positive" if positive else "non-negative"
+                raise ValueError(
+                    f"{name} must be finite and {kind}, got {v!r}")
+
 
 def resolve_game(name):
     if name == "kuhn":
@@ -241,7 +252,8 @@ def grid(spec):
     averaged over the repetitions' seeds; ties break lexicographically on
     (eta, tau, gamma). Cells whose exploitability is not finite are marked
     "diverged" and ranked last. Returns (cells, best) where each cell is a
-    dict.
+    dict. A spec whose eta, tau or gamma is not a valid RunConfig value
+    raises ValueError before any cell runs.
     """
     if isinstance(spec, str):
         with open(spec) as f:

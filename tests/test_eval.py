@@ -170,6 +170,92 @@ def test_compute_reference_budget_error(kuhn):
         compute_reference(kuhn, 0.05, gamma=0.01, tol=1e-12, max_iters=50)
 
 
+@pytest.fixture
+def count_full_steps(monkeypatch):
+    """Count qfr_full_step calls and record each step size used."""
+    from efglab import solvers
+    calls = {"steps": 0, "etas": []}
+    step = solvers.qfr_full_step
+
+    def counted(state, tree, params):
+        calls["steps"] += 1
+        if not calls["etas"] or calls["etas"][-1] != params.eta[0]:
+            calls["etas"].append(float(params.eta[0]))
+        return step(state, tree, params)
+
+    monkeypatch.setattr(solvers, "qfr_full_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("game, family", [
+    ("kuhn", ENTROPY), ("kuhn", EUCLIDEAN), ("leduc", ENTROPY)])
+def test_compute_reference_default_step_converges_fast(
+        request, count_full_steps, game, family):
+    # About 2,000-2,500 steps each; a fixed step of 0.05 needs 87,100 on
+    # Kuhn with the entropy and does not converge on Leduc in 20,000.
+    tree = request.getfixturevalue(game)
+    prof, gap = compute_reference(tree, 1e-3, family=family, gamma=1e-2,
+                                  tol=1e-7, max_iters=5_000)
+    assert gap <= 1e-7
+    assert count_full_steps["steps"] <= 5_000
+    assert count_full_steps["etas"][0] == 4.0
+    params = SolverParams(tree, family=family, gamma=1e-2)
+    assert perturbed_regularized_gap(tree, prof, 1e-3, 1.0, family,
+                                     params.simplexes) == gap
+
+
+def test_compute_reference_halves_a_stalling_step(kuhn, monkeypatch):
+    # Too large a first step stalls; each halving must restart from the
+    # center and current iterate of the check with the lowest gap so far.
+    from efglab import solvers
+    step = solvers.qfr_full_step
+    etas, checks, restarts = [], [], []
+
+    def recorded(state, tree, params):
+        if etas and params.eta[0] != etas[-1]:
+            restarts.append((len(checks), state.bar.copy(), state.cur.copy()))
+        if not etas or params.eta[0] != etas[-1]:
+            etas.append(float(params.eta[0]))
+        m = step(state, tree, params)
+        if state.t % 100 == 0:
+            checks.append((state.bar.copy(), state.cur.copy()))
+        return m
+
+    monkeypatch.setattr(solvers, "qfr_full_step", recorded)
+    prof, gap = compute_reference(kuhn, 1e-3, gamma=1e-2, tol=1e-7, eta=64.0,
+                                  max_iters=20_000)
+    assert gap <= 1e-7
+    assert etas[0] == 64.0 and len(etas) >= 2
+    assert all(b == a / 2 for a, b in zip(etas, etas[1:]))
+    simplexes = SolverParams(kuhn, gamma=1e-2).simplexes
+    gaps = [perturbed_regularized_gap(kuhn, unflatten_profile(kuhn, bar),
+                                      1e-3, 1.0, ENTROPY, simplexes)
+            for bar, _ in checks]
+    assert len(restarts) == len(etas) - 1
+    for n_checks, bar, cur in restarts:
+        best = int(np.argmin(gaps[:n_checks]))
+        assert np.array_equal(bar, checks[best][0])
+        assert np.array_equal(cur, checks[best][1])
+    # The restarts land on the same regularized equilibrium as the default
+    # start.
+    monkeypatch.setattr(solvers, "qfr_full_step", step)
+    ref, _ = compute_reference(kuhn, 1e-3, gamma=1e-2, tol=1e-7)
+    for a, b in zip(prof, ref):
+        assert np.max(np.abs(a - b)) <= 1e-3
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(eta=float("inf")), "eta"), (dict(eta=float("nan")), "eta"),
+    (dict(eta=0.0), "eta"), (dict(eta=-1.0), "eta"),
+    (dict(tol=0.0), "tol"), (dict(tol=-1e-7), "tol"),
+    (dict(check_every=0), "check_every")])
+def test_compute_reference_rejects_bad_arguments(kuhn, count_full_steps, kw,
+                                                 message):
+    with pytest.raises(ValueError, match=message):
+        compute_reference(kuhn, 0.05, gamma=0.01, **kw)
+    assert count_full_steps["steps"] == 0
+
+
 def test_bregman_to_reference_trivial(kuhn, rng):
     prof = [rng.dirichlet(np.ones(n)) for n in kuhn.actions_per_infoset]
     assert bregman_to_reference(kuhn, prof, prof) == pytest.approx(0.0,

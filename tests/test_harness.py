@@ -99,6 +99,19 @@ def test_track_bregman_and_reg_gap(tmp_path):
     assert gaps[-1] < gaps[0]
 
 
+def test_leduc_run_tracks_bregman_to_reference(tmp_path):
+    # The paper's setting on Leduc: the reference solve to gap 1e-7 takes
+    # a few thousand full-information steps.
+    cfg = RunConfig(game="leduc", algo="qfr-stoch", feedback="tq",
+                    tau=1e-3, gamma=1e-2, eta=1e-2, iters=10, eval_every=5,
+                    reps=2, track_bregman=True, out=str(tmp_path / "l.csv"))
+    run(cfg)
+    rows = _read_csv(tmp_path / "l.csv")
+    bregs = [float(r[5]) for r in rows[1:]]
+    assert len(bregs) == 4
+    assert all(np.isfinite(b) and b > 0.0 for b in bregs)
+
+
 def test_stochastic_algo_requires_tq():
     cfg = RunConfig(game="kuhn", algo="qfr-stoch", feedback="cf", tau=0.01,
                     gamma=0.01, iters=1)
@@ -146,18 +159,69 @@ def test_grid_ranks_non_finite_cells_last(monkeypatch):
     assert best["eta"] == 0.0001 and not best["diverged"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_grid_marks_a_diverged_best_cell(tmp_path, capsys):
-    # An infinite step makes the iterate non-finite; a huge finite one
-    # projects to a floored vertex (see the 1e300 test below).
+@pytest.fixture
+def nan_pga(monkeypatch):
+    """Make every PGA step write NaN into the iterate."""
+    from efglab import solvers
+
+    def step(state, tree, params):
+        state.cur[:] = np.nan
+        state.t += 1
+
+    monkeypatch.setattr(solvers, "pga_step", step)
+
+
+def test_cli_grid_marks_a_diverged_best_cell(tmp_path, capsys, nan_pga):
     spec_path = tmp_path / "g.json"
     spec_path.write_text(json.dumps({
         "game": "kuhn", "algo": "pga", "feedback": "cf", "iters": 5,
         "eval_every": 5, "reg": "euclidean",
-        "grid": {"eta": [float("inf")], "tau": [0.0], "gamma": [0.01]}}))
+        "grid": {"eta": [0.1], "tau": [0.0], "gamma": [0.01]}}))
     assert cli_main(["grid", "--spec", str(spec_path)]) == 0
     out = capsys.readouterr().out
     assert "expl=nan (diverged" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", float("inf")), ("eta", float("nan")), ("eta", 0.0),
+    ("eta", -0.1), ("tau", float("inf")), ("tau", -1e-3),
+    ("gamma", float("nan")), ("gamma", -0.01)])
+def test_run_config_rejects_bad_rates(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_run_config_accepts_zero_tau_and_gamma():
+    cfg = RunConfig(tau=0.0, gamma=0.0, eta=1e-12)
+    assert (cfg.tau, cfg.gamma, cfg.eta) == (0.0, 0.0, 1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eta", "inf"), ("--eta", "0"), ("--tau", "-0.1"), ("--gamma", "nan")])
+def test_cli_run_rejects_bad_rates(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.csv"
+    rc = cli_main(["run", "--game", "kuhn", "--algo", "pga", "--feedback",
+                   "cf", "--iters", "5", flag, value, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag[2:]} must be finite" in err
+    assert not out.exists()
+
+
+def test_cli_grid_rejects_bad_rates_before_any_cell_runs(tmp_path, capsys,
+                                                         monkeypatch):
+    from efglab import harness
+
+    ran = []
+    monkeypatch.setattr(harness, "_cell_worker", ran.append)
+    spec_path = tmp_path / "g.json"
+    spec_path.write_text(json.dumps({
+        "game": "kuhn", "algo": "pga", "feedback": "cf", "iters": 5,
+        "grid": {"eta": [0.1, float("inf")], "tau": [0.0],
+                 "gamma": [0.01]}}))
+    assert cli_main(["grid", "--spec", str(spec_path)]) == 2
+    assert "eta must be finite and positive, got inf" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_grid_defaults_to_standard_values():
@@ -304,14 +368,12 @@ def test_cli_bestresp_rejects_malformed_profile(tmp_path, capsys, row,
     assert "exploitability" not in captured.out
 
 
-def test_cli_run_reports_non_finite_metric(tmp_path, capsys):
-    # An infinite step makes the PGA iterate non-finite.
+def test_cli_run_reports_non_finite_metric(tmp_path, capsys, nan_pga):
     out = tmp_path / "r.csv"
-    with np.errstate(all="ignore"):
-        rc = cli_main(["run", "--game", "kuhn", "--algo", "pga",
-                       "--feedback", "cf", "--reg", "euclidean",
-                       "--eta", "inf", "--gamma", "0.01", "--iters", "5",
-                       "--eval-every", "5", "--out", str(out)])
+    rc = cli_main(["run", "--game", "kuhn", "--algo", "pga",
+                   "--feedback", "cf", "--reg", "euclidean",
+                   "--gamma", "0.01", "--iters", "5",
+                   "--eval-every", "5", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: non-finite expl_last at seed 0 iteration 5"]
