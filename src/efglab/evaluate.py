@@ -105,6 +105,12 @@ def bregman_to_reference(tree, profile, reference, alpha=1.0,
 # Gap checks without a new best gap before compute_reference halves its
 # step size and restarts from the best iterate.
 STALL_CHECKS = 3
+# compute_reference halves its step size no further than this (or than the
+# caller's first step size, if smaller). At τ = 1e-3, γ = 1e-2 a fixed
+# step of 0.05 converges, if slowly, on Kuhn and Leduc with either
+# regularizer, so a solve that keeps stalling falls back to it, restarted
+# from its best iterate.
+ETA_FLOOR = 0.05
 
 
 def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
@@ -125,7 +131,9 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
     iterate, and after STALL_CHECKS checks in a row without one (a
     non-finite gap never counts as one) the step size halves and the
     solver restarts from the best snapshot, or from the start if no check
-    has yet set a best gap.
+    has yet set a best gap. The step size never halves below
+    min(eta, ETA_FLOOR); once there it stays fixed and the solver no longer
+    restarts, so an `eta` at or below ETA_FLOOR runs at that fixed step.
     """
     from .solvers import SolverParams, SolverState, qfr_full_step
     if not (np.isfinite(eta) and eta > 0.0):
@@ -140,6 +148,7 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
     simplexes = params.simplexes
     best_gap, best_bar, best_cur = np.inf, state.bar.copy(), state.cur.copy()
     stalled = 0
+    eta_floor = min(eta, ETA_FLOOR)
     for it in range(1, max_iters + 1):
         qfr_full_step(state, tree, params)
         if it % check_every == 0 or it == max_iters:
@@ -154,9 +163,9 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
                 best_cur[:] = state.cur
             else:
                 stalled += 1
-            if stalled == STALL_CHECKS:
+            if stalled >= STALL_CHECKS and params.eta[0] > eta_floor:
                 # In place, so the state's per-infoset views stay valid.
-                params.eta *= 0.5
+                params.eta[:] = max(0.5 * params.eta[0], eta_floor)
                 state.bar[:] = best_bar
                 state.cur[:] = best_cur
                 stalled = 0

@@ -10,6 +10,7 @@ when the algorithm maintains one.
 
 import csv
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,8 @@ class RunConfig:
         for name, positive in (("eta", True), ("tau", False),
                                ("gamma", False)):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {v!r}")
             if not np.isfinite(v) or v < 0.0 or (positive and v == 0.0):
                 kind = "positive" if positive else "non-negative"
                 raise ValueError(

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from efglab.evaluate import (_reg_best_response, best_response,
-                             bregman_to_reference, compute_reference,
+from efglab.evaluate import (ETA_FLOOR, STALL_CHECKS, _reg_best_response,
+                             best_response, bregman_to_reference,
+                             compute_reference,
                              exploitability, perturbed_regularized_gap)
 from efglab.game import (PLAYER1, PLAYER2, expected_utility,
                          exploration_distribution, load_game,
@@ -242,6 +243,41 @@ def test_compute_reference_halves_a_stalling_step(kuhn, monkeypatch):
     ref, _ = compute_reference(kuhn, 1e-3, gamma=1e-2, tol=1e-7)
     for a, b in zip(prof, ref):
         assert np.max(np.abs(a - b)) <= 1e-3
+
+
+@pytest.mark.parametrize("eta, halvings", [(4.0, 7), (0.02, 0)])
+def test_compute_reference_step_never_halves_below_the_floor(
+        kuhn, monkeypatch, eta, halvings):
+    # A gap that never improves halves the step at every STALL_CHECKS-th
+    # check until it reaches min(eta, ETA_FLOOR); from there the step stays
+    # fixed and the solver no longer restarts from its best iterate.
+    from efglab import evaluate, solvers
+    step = solvers.qfr_full_step
+    etas, restarted, last_bar = [], [], []
+
+    def recorded(state, tree, params):
+        if last_bar:
+            restarted.append(not np.array_equal(state.bar, last_bar[-1]))
+        etas.append(float(params.eta[0]))
+        m = step(state, tree, params)
+        last_bar.append(state.bar.copy())
+        return m
+
+    monkeypatch.setattr(solvers, "qfr_full_step", recorded)
+    monkeypatch.setattr(evaluate, "perturbed_regularized_gap",
+                        lambda *args: 1.0)
+    with pytest.raises(RuntimeError):
+        compute_reference(kuhn, 1e-3, gamma=1e-2, eta=eta, max_iters=60,
+                          check_every=1)
+    floor = min(eta, ETA_FLOOR)
+    assert ETA_FLOOR == 0.05 and min(etas) == floor
+    assert len(set(etas)) == halvings + 1
+    first = etas.index(floor)
+    assert first == (1 + halvings * STALL_CHECKS if halvings else 0)
+    assert etas[first:] == [floor] * (len(etas) - first)
+    # restarted[i] says whether step i + 1 began from a restored iterate.
+    assert sum(restarted[:first]) == halvings
+    assert not any(restarted[first:])
 
 
 @pytest.mark.parametrize("kw, message", [

@@ -185,7 +185,8 @@ def test_cli_grid_marks_a_diverged_best_cell(tmp_path, capsys, nan_pga):
 @pytest.mark.parametrize("field, value", [
     ("eta", float("inf")), ("eta", float("nan")), ("eta", 0.0),
     ("eta", -0.1), ("tau", float("inf")), ("tau", -1e-3),
-    ("gamma", float("nan")), ("gamma", -0.01)])
+    ("gamma", float("nan")), ("gamma", -0.01), ("eta", "0.1"),
+    ("tau", None), ("gamma", True)])
 def test_run_config_rejects_bad_rates(field, value):
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: value})
@@ -208,8 +209,13 @@ def test_cli_run_rejects_bad_rates(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate, message", [
+    (float("inf"), "eta must be finite and positive, got inf"),
+    ("0.1", "eta must be a number, got '0.1'"),
+    (None, "eta must be a number, got None")])
 def test_cli_grid_rejects_bad_rates_before_any_cell_runs(tmp_path, capsys,
-                                                         monkeypatch):
+                                                         monkeypatch, rate,
+                                                         message):
     from efglab import harness
 
     ran = []
@@ -217,10 +223,9 @@ def test_cli_grid_rejects_bad_rates_before_any_cell_runs(tmp_path, capsys,
     spec_path = tmp_path / "g.json"
     spec_path.write_text(json.dumps({
         "game": "kuhn", "algo": "pga", "feedback": "cf", "iters": 5,
-        "grid": {"eta": [0.1, float("inf")], "tau": [0.0],
-                 "gamma": [0.01]}}))
+        "grid": {"eta": [0.1, rate], "tau": [0.0], "gamma": [0.01]}}))
     assert cli_main(["grid", "--spec", str(spec_path)]) == 2
-    assert "eta must be finite and positive, got inf" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert ran == []
 
 
