@@ -10,10 +10,11 @@ when the algorithm maintains one.
 
 import csv
 import json
+import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,13 +23,16 @@ from .evaluate import (bregman_to_reference, compute_reference,
                        exploitability, perturbed_regularized_gap)
 from .game import load_game
 from .games import build_kuhn, build_leduc
-from .regularizers import ENTROPY
+from .regularizers import ENTROPY, EUCLIDEAN
 from .solvers import (SolverParams, SolverState, average_profile,
-                      check_m_bounds, game_constants, lazy_catch_up)
-from .values import TRAJQ, infoset_reach, multiplier, reach_flat
+                      check_m_bounds, game_constants, lazy_catch_up,
+                      parse_schedule)
+from .values import (FEEDBACK_KINDS, TRAJQ, infoset_reach, multiplier,
+                     reach_flat)
 
 ALGOS = ("qfr", "qfr-stoch", "qfr-lazy", "pga", "cfr", "cfrplus", "osmccfr",
          "mmd")
+REGS = (ENTROPY, EUCLIDEAN)
 CSV_FIELDS = ("seed", "iter", "expl_last", "expl_avg", "reg_gap",
               "bregman_ref", "wall_ms")
 
@@ -36,6 +40,12 @@ PAPER_GRID = {
     "eta": [0.1, 0.01, 0.001, 0.0001],
     "tau": [0.1, 0.01, 0.001, 0.0001, 0.0],
     "gamma": [0.1, 0.01, 0.001, 0.0001],
+}
+
+_RATE_RULES = {
+    "positive": lambda v: 0.0 < v < math.inf,
+    "non-negative": lambda v: 0.0 <= v < math.inf,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
 }
 
 
@@ -62,17 +72,46 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        # A run spec is an input boundary: a bad rate would otherwise
-        # surface only as a non-finite metric after every iteration.
-        for name, positive in (("eta", True), ("tau", False),
-                               ("gamma", False)):
+        # A run spec is an input boundary: every field is checked here, so
+        # a bad value fails before the game is built or a step is taken.
+        for name, kinds in (("algo", ALGOS), ("feedback", FEEDBACK_KINDS),
+                            ("reg", REGS)):
+            if getattr(self, name) not in kinds:
+                raise ValueError(f"{name} must be one of {', '.join(kinds)}, "
+                                 f"got {getattr(self, name)!r}")
+        for name, kind in (("game", str), ("out", str),
+                           ("track_bregman", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got "
+                                 f"{getattr(self, name)!r}")
+        for name, least in (("iters", 1), ("reps", 1), ("jobs", 1),
+                            ("seed", 0), ("eval_every", 0),
+                            ("anneal_every", 0)):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                    or v < least):
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {v!r}")
+        for name, rule in (("eta", "positive"), ("alpha", "positive"),
+                           ("tau", "non-negative"), ("gamma", "in [0, 1]"),
+                           ("explore_eps", "in [0, 1]"),
+                           ("anneal_decay", "in [0, 1]")):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {v!r}")
-            if not np.isfinite(v) or v < 0.0 or (positive and v == 0.0):
-                kind = "positive" if positive else "non-negative"
+            # Every comparison with NaN is false, so NaN fails each rule.
+            if not _RATE_RULES[rule](v):
                 raise ValueError(
-                    f"{name} must be finite and {kind}, got {v!r}")
+                    f"{name} must be finite and {rule}, got {v!r}")
+        parse_schedule(self.schedule)
+        if self.algo in ("qfr-stoch", "qfr-lazy") and self.feedback != TRAJQ:
+            raise ValueError(f"{self.algo} samples trajectory-q estimates; "
+                             f"pass feedback 'tq'")
+        if self.track_bregman and self.tau == 0.0:
+            raise ValueError("track_bregman requires tau > 0")
+
+
+RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
 
 def resolve_game(name):
@@ -81,23 +120,6 @@ def resolve_game(name):
     if name == "leduc":
         return build_leduc()
     return load_game(name)
-
-
-def _make_params(tree, cfg):
-    if cfg.algo not in ALGOS:
-        raise ValueError(f"unknown algo {cfg.algo!r}")
-    feedback = cfg.feedback
-    if cfg.algo in ("qfr-stoch", "qfr-lazy"):
-        if feedback != TRAJQ:
-            raise ValueError(
-                f"{cfg.algo} samples trajectory-q estimates; pass "
-                f"feedback 'tq'")
-    return SolverParams(
-        tree, feedback=feedback, family=cfg.reg, alpha=cfg.alpha,
-        tau=cfg.tau, gamma=cfg.gamma, eta=cfg.eta, schedule=cfg.schedule,
-        explore_eps=cfg.explore_eps,
-        anneal_decay=cfg.anneal_decay or None,
-        anneal_every=cfg.anneal_every or None)
 
 
 @dataclass
@@ -136,7 +158,11 @@ def run_single(cfg, seed, reference=None, tree=None):
     """One repetition. Returns a RunOutcome with one row per eval point."""
     if tree is None:
         tree = resolve_game(cfg.game)
-    params = _make_params(tree, cfg)
+    params = SolverParams(
+        tree, feedback=cfg.feedback, family=cfg.reg, alpha=cfg.alpha,
+        tau=cfg.tau, gamma=cfg.gamma, eta=cfg.eta, schedule=cfg.schedule,
+        explore_eps=cfg.explore_eps, anneal_decay=cfg.anneal_decay or None,
+        anneal_every=cfg.anneal_every or None)
     state = SolverState(tree, params)
     rng = np.random.default_rng(seed)
     constants = None
@@ -191,8 +217,6 @@ def run(cfg):
     tree = resolve_game(cfg.game)
     reference = None
     if cfg.track_bregman:
-        if cfg.tau <= 0.0:
-            raise ValueError("track_bregman requires tau > 0")
         reference, _ = compute_reference(tree, cfg.tau, cfg.alpha, cfg.reg,
                                          cfg.gamma)
     seeds = list(range(cfg.seed, cfg.seed + cfg.reps))
@@ -250,32 +274,40 @@ def grid(spec):
     """Grid search over (eta, tau, gamma) cells.
 
     spec is a dict (or path to a JSON file) holding RunConfig fields plus an
-    optional "grid" entry with lists for eta/tau/gamma (defaults to the
-    standard grid). Cells are ranked by final-iterate exploitability
+    optional "grid" entry: "paper-grid" (the default, the standard grid) or
+    an object of non-empty lists for any of eta/tau/gamma, the others taken
+    from the standard grid. Cells are ranked by final-iterate exploitability
     averaged over the repetitions' seeds; ties break lexicographically on
     (eta, tau, gamma). Cells whose exploitability is not finite are marked
     "diverged" and ranked last. Returns (cells, best) where each cell is a
-    dict. A spec whose eta, tau or gamma is not a valid RunConfig value
-    raises ValueError before any cell runs.
+    dict. A spec of another shape, with an unknown key, or with a cell that
+    is not a valid RunConfig raises ValueError before any cell runs.
     """
     if isinstance(spec, str):
         with open(spec) as f:
             spec = json.load(f)
+    if not isinstance(spec, dict):
+        raise ValueError(f"grid spec must be an object, got {spec!r}")
     spec = dict(spec)
-    override = spec.pop("grid", {})
+    override = spec.pop("grid", "paper-grid")
     if override == "paper-grid":
         override = {}
+    if not isinstance(override, dict):
+        raise ValueError(f"grid must be 'paper-grid' or an object of lists, "
+                         f"got {override!r}")
+    unknown = (set(spec) - RUN_FIELDS) | (set(override) - set(PAPER_GRID))
+    if unknown:
+        raise ValueError(f"unknown grid spec key: "
+                         f"{', '.join(sorted(map(str, unknown)))}")
+    for name, axis in override.items():
+        if not isinstance(axis, list) or not axis:
+            raise ValueError(
+                f"grid axis {name} must be a non-empty list, got {axis!r}")
     axes = {**PAPER_GRID, **override}
-    jobs = spec.pop("jobs", 1)
-    out_path = spec.pop("out", "")
-    base = RunConfig(**spec)
-
-    cells = []
-    for eta in axes["eta"]:
-        for tau in axes["tau"]:
-            for gamma in axes["gamma"]:
-                cells.append(replace(base, eta=eta, tau=tau, gamma=gamma,
-                                     out="", jobs=1))
+    cells = [RunConfig(**{**spec, "eta": eta, "tau": tau, "gamma": gamma})
+             for eta in axes["eta"] for tau in axes["tau"]
+             for gamma in axes["gamma"]]
+    jobs, out_path = cells[0].jobs, cells[0].out
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             metrics = list(pool.map(_cell_worker, cells))

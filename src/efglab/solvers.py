@@ -19,6 +19,24 @@ from .values import (CF, QVALUE, TRAJQ, estimate_trajectory_q, feedback_flat,
                      infoset_reach, reach_flat, sample_trajectory)
 
 
+def parse_schedule(schedule):
+    """Depth ratio of a schedule string: None for "uniform", RATIO in (0, 1]
+    for "depth:RATIO"."""
+    if schedule == "uniform":
+        return None
+    if isinstance(schedule, str) and schedule.startswith("depth:"):
+        try:
+            ratio = float(schedule[len("depth:"):])
+        except ValueError:
+            ratio = np.nan
+        if 0.0 < ratio <= 1.0:
+            return ratio
+        raise ValueError(f"depth schedule ratio must lie in (0, 1], got "
+                         f"{schedule!r}")
+    raise ValueError(f"schedule must be 'uniform' or 'depth:RATIO', got "
+                     f"{schedule!r}")
+
+
 def lr_schedule(tree, eta0, schedule="uniform"):
     """Per-infoset step sizes.
 
@@ -26,18 +44,11 @@ def lr_schedule(tree, eta0, schedule="uniform"):
     eta0 / ratio**depth(s), growing with the infoset's depth (maximum member
     node depth in actions of all players) when ratio < 1.
     """
-    n = tree.num_infosets
-    if isinstance(schedule, str) and schedule.startswith("depth:"):
-        schedule = ("depth", float(schedule.split(":", 1)[1]))
-    if schedule == "uniform" or schedule == ("uniform", None):
-        return np.full(n, float(eta0))
-    if isinstance(schedule, tuple) and schedule[0] == "depth":
-        ratio = float(schedule[1])
-        if ratio <= 0.0 or ratio > 1.0:
-            raise ValueError("depth schedule ratio must lie in (0, 1]")
-        depths = np.asarray([s.depth for s in tree.infosets], dtype=float)
-        return eta0 / ratio ** depths
-    raise ValueError(f"unknown schedule {schedule!r}")
+    ratio = parse_schedule(schedule)
+    if ratio is None:
+        return np.full(tree.num_infosets, float(eta0))
+    depths = np.asarray([s.depth for s in tree.infosets], dtype=float)
+    return eta0 / ratio ** depths
 
 
 class SolverParams:
@@ -472,6 +483,10 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
     floor (defaults to the bound implied by gamma0). horizon/delta feed the
     high-probability step-size caps when given.
     """
+    if horizon is not None and not horizon >= 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon!r}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     n = tree.num_infosets
     alpha = (np.full(n, float(alpha)) if np.isscalar(alpha)
              else np.asarray(alpha, dtype=np.float64))

@@ -1,5 +1,6 @@
 """Experiment harness and CLI: runs, grids, CSV format, subcommands."""
 
+import argparse
 import csv
 import json
 from dataclasses import replace
@@ -7,9 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from efglab import cli, harness
 from efglab.cli import main as cli_main
-from efglab.harness import (CSV_FIELDS, PAPER_GRID, RunConfig, grid,
-                            resolve_game, run, run_single)
+from efglab.game import dump_game
+from efglab.games import build_matching_pennies
+from efglab.harness import (CSV_FIELDS, PAPER_GRID, RUN_FIELDS, RunConfig,
+                            grid, resolve_game, run, run_single)
 
 EXPECTED_HEADER = "seed,iter,expl_last,expl_avg,reg_gap,bregman_ref,wall_ms"
 
@@ -113,10 +117,9 @@ def test_leduc_run_tracks_bregman_to_reference(tmp_path):
 
 
 def test_stochastic_algo_requires_tq():
-    cfg = RunConfig(game="kuhn", algo="qfr-stoch", feedback="cf", tau=0.01,
-                    gamma=0.01, iters=1)
     with pytest.raises(ValueError):
-        run(cfg)
+        RunConfig(game="kuhn", algo="qfr-stoch", feedback="cf", tau=0.01,
+                  gamma=0.01, iters=1)
 
 
 def test_grid_single_cell():
@@ -405,3 +408,171 @@ def test_cli_bestresp_missing_profile_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {missing}: ")
     assert "exploitability" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# Input rules: every bad run field fails at RunConfig, before any step, and
+# the CLI reports it on one line with exit code 2.
+
+RUN_FLAGS = [
+    "--algo", "--alpha", "--anneal-decay", "--anneal-every", "--eta",
+    "--eval-every", "--explore-eps", "--feedback", "--game", "--gamma",
+    "--iters", "--jobs", "--out", "--reg", "--reps", "--schedule", "--seed",
+    "--tau", "--track-bregman",
+]
+
+# (run flags, the same fields as a RunConfig / grid spec)
+BAD_RUNS = [
+    (["--iters", "0"], {"iters": 0}),
+    (["--reps", "0"], {"reps": 0}),
+    (["--seed", "-1"], {"seed": -1}),
+    (["--schedule", "bogus"], {"schedule": "bogus"}),
+    (["--schedule", "depth:0"], {"schedule": "depth:0"}),
+    (["--algo", "qfr-stoch", "--feedback", "q"],
+     {"algo": "qfr-stoch", "feedback": "q"}),
+    (["--track-bregman", "--tau", "0"], {"track_bregman": True, "tau": 0.0}),
+    (["--alpha", "nan"], {"alpha": float("nan")}),
+    (["--anneal-decay", "nan", "--anneal-every", "10"],
+     {"anneal_decay": float("nan"), "anneal_every": 10}),
+    (["--alpha", "-1"], {"alpha": -1.0}),
+    (["--explore-eps", "2", "--algo", "osmccfr"],
+     {"explore_eps": 2.0, "algo": "osmccfr"}),
+    (["--eval-every", "-3"], {"eval_every": -3}),
+    (["--anneal-every", "-5"], {"anneal_every": -5}),
+    (["--jobs", "0"], {"jobs": 0}),
+    (["--gamma", "2"], {"gamma": 2.0}),
+]
+BAD_RUN_IDS = [" ".join(flags) for flags, _ in BAD_RUNS]
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Record every call of run_single and _cell_worker instead of making
+    it."""
+    calls = []
+    monkeypatch.setattr(harness, "run_single",
+                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(harness, "_cell_worker", calls.append)
+    return calls
+
+
+def _assert_one_error_line(capsys, rc):
+    assert rc == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fields", [f for _, f in BAD_RUNS],
+                         ids=BAD_RUN_IDS)
+def test_run_config_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        RunConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"algo": "qfr2"}, {"feedback": "x"}, {"reg": "l2"}, {"game": 5},
+    {"out": None}, {"track_bregman": 1}, {"iters": 10.0}, {"reps": True},
+    {"alpha": "1"}, {"explore_eps": None}, {"schedule": ("depth", 0.5)},
+    {"schedule": "depth:abc"}, {"schedule": "depth:1.5"}])
+def test_run_config_rejects_bad_types_and_values(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        RunConfig(**fields)
+
+
+def _bad_utility_game(tmp_path):
+    doc = dump_game(build_matching_pennies())
+    doc["nodes"][2]["utility_p1"] = 5.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags", [f for f, _ in BAD_RUNS] + [
+    ["--game", "missing.json"], ["--game", _bad_utility_game]],
+    ids=BAD_RUN_IDS + ["missing game", "utility 5"])
+def test_cli_run_rejects_bad_input(tmp_path, capsys, no_runs, flags):
+    flags = [f(tmp_path) if callable(f) else f for f in flags]
+    out = tmp_path / "r.csv"
+    _assert_one_error_line(capsys,
+                           cli_main(["run", *flags, "--out", str(out)]))
+    assert no_runs == []
+    assert not out.exists()
+
+
+def _one_cell_spec(fields):
+    rates = {"eta": 0.1, "tau": 0.01, "gamma": 0.01}
+    return {"game": "kuhn", "iters": 5,
+            **{k: v for k, v in fields.items() if k not in rates},
+            "grid": {k: [fields.get(k, v)] for k, v in rates.items()}}
+
+
+@pytest.mark.parametrize("spec", [
+    *(_one_cell_spec(f) for _, f in BAD_RUNS),
+    [1, 2],
+    {"game": "kuhn", "iter": 5},
+    {"game": "kuhn", "grid": {"eta": 0.1}},
+    {"game": "kuhn", "grid": {"eta": []}},
+    {"game": "kuhn", "grid": {"rate": [0.1]}},
+    {"game": "kuhn", "grid": 5}],
+    ids=BAD_RUN_IDS + ["list spec", "unknown key", "axis not a list",
+                       "empty axis", "unknown axis", "grid not an object"])
+def test_cli_grid_rejects_bad_spec_before_any_cell_runs(tmp_path, capsys,
+                                                        no_runs, spec):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    _assert_one_error_line(capsys, cli_main(["grid", "--spec", str(path)]))
+    assert no_runs == []
+
+
+def test_grid_names_an_unknown_spec_key():
+    with pytest.raises(ValueError, match="unknown grid spec key: iter"):
+        grid({"game": "kuhn", "iter": 5})
+
+
+def test_cli_run_without_flags_hands_run_config_defaults(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        raise Stop
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    with pytest.raises(Stop):
+        cli_main(["run"])
+    assert seen == [RunConfig()]
+
+
+def test_run_flags_are_pinned_and_name_every_run_config_field():
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices["run"]._actions if a.dest != "help"]
+    assert sorted(s for a in actions for s in a.option_strings) == RUN_FLAGS
+    assert {a.dest for a in actions} == RUN_FIELDS
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma", "2"], ["--alpha", "0"], ["--horizon", "0"],
+    ["--schedule", "bogus"], ["--delta", "0"], ["--delta", "1"],
+    ["--tau", "-1"], ["--eta", "nan"], ["--game", "missing.json"]])
+def test_cli_constants_rejects_bad_input(capsys, flags):
+    _assert_one_error_line(capsys, cli_main(["constants", *flags]))
+
+
+def test_cli_bestresp_missing_game_file(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    _assert_one_error_line(
+        capsys, cli_main(["bestresp", "--game", str(missing)]))
+
+
+@pytest.mark.parametrize("doc", [5, [[{}, 0.5]]])
+def test_cli_bestresp_rejects_a_profile_that_is_not_lists_of_numbers(
+        tmp_path, capsys, doc):
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps(doc))
+    _assert_one_error_line(capsys,
+                           cli_main(["bestresp", "--profile", str(p)]))
