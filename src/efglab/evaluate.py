@@ -10,6 +10,7 @@ reach), so the sweeps carry it as a per-node bonus.
 
 import numpy as np
 
+from . import solvers
 from .game import PLAYER1, PLAYER2, flatten_profile, unflatten_profile
 from .regularizers import ENTROPY, argmax_batch, bregman_tree
 from .values import (QVALUE, counterfactual_values, infoset_reach,
@@ -135,22 +136,21 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
     min(eta, ETA_FLOOR); once there it stays fixed and the solver no longer
     restarts, so an `eta` at or below ETA_FLOOR runs at that fixed step.
     """
-    from .solvers import SolverParams, SolverState, qfr_full_step
     if not (np.isfinite(eta) and eta > 0.0):
         raise ValueError(f"eta must be finite and positive, got {eta}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if check_every < 1:
         raise ValueError(f"check_every must be at least 1, got {check_every}")
-    params = SolverParams(tree, feedback=QVALUE, family=family, alpha=alpha,
-                          tau=tau, gamma=gamma, eta=eta)
-    state = SolverState(tree, params)
+    params = solvers.SolverParams(tree, feedback=QVALUE, family=family,
+                                  alpha=alpha, tau=tau, gamma=gamma, eta=eta)
+    state = solvers.SolverState(tree, params)
     simplexes = params.simplexes
     best_gap, best_bar, best_cur = np.inf, state.bar.copy(), state.cur.copy()
     stalled = 0
     eta_floor = min(eta, ETA_FLOOR)
     for it in range(1, max_iters + 1):
-        qfr_full_step(state, tree, params)
+        solvers.qfr_full_step(state, tree, params)
         if it % check_every == 0 or it == max_iters:
             prof = state.bar_profile(tree)
             gap = perturbed_regularized_gap(tree, prof, tau, alpha, family,

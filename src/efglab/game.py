@@ -449,19 +449,25 @@ def save_game(tree, path):
         json.dump(dump_game(tree), f, indent=1)
 
 
+def _is_number(v):
+    """A finite JSON number that converts to a float (not a bool)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= float(np.finfo(float).max))
+
+
 def load_game(source):
     """Load a game from a JSON document (dict, path, or file object).
 
     Node ids in the document may be arbitrary unique integers; they are
     remapped to topological order. Infoset ids must be dense from 0.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes)):
         with open(source) as f:
-            doc = json.load(f)
-    else:
-        doc = json.load(source)
+            return load_game(f)
+    try:
+        doc = source if isinstance(source, dict) else json.load(source)
+    except ValueError as e:  # not JSON, or not text
+        raise GameFormatError(f"not a JSON document: {e}") from e
 
     try:
         name = doc["name"]
@@ -474,12 +480,12 @@ def load_game(source):
 
     by_id = {}
     for nd in raw_nodes:
-        if "id" not in nd or not isinstance(nd["id"], int):
+        if not isinstance(nd, dict) or not isinstance(nd.get("id"), int):
             raise GameFormatError("every node needs an integer 'id'")
         if nd["id"] in by_id:
             raise GameFormatError(f"duplicate node id {nd['id']}")
         by_id[nd["id"]] = nd
-    if root not in by_id:
+    if not isinstance(root, int) or root not in by_id:
         raise GameFormatError(f"root id {root} not present")
 
     # Depth-first preorder from root for topological numbering (matches the
@@ -493,10 +499,14 @@ def load_game(source):
         index[oid] = len(order)
         order.append(oid)
         nd = by_id[oid]
-        kids = []
-        for act in nd.get("actions", []):
-            if "child" not in act:
-                raise GameFormatError("action missing 'child'")
+        acts = nd.get("actions", [])
+        if not isinstance(acts, list) or not all(
+                isinstance(a, dict) and isinstance(a.get("label"), str)
+                and isinstance(a.get("child"), int) for a in acts):
+            raise GameFormatError(
+                f"node {oid}: actions must be a list of objects with a "
+                f"string 'label' and an integer 'child'")
+        for act in acts:
             c = act["child"]
             if c not in by_id:
                 raise GameFormatError(f"child id {c} not present")
@@ -504,8 +514,7 @@ def load_game(source):
                 raise GameFormatError(
                     f"node {c} reached twice (not a tree)")
             seen.add(c)
-            kids.append(c)
-        stack.extend(reversed(kids))
+        stack.extend(reversed([a["child"] for a in acts]))
     if len(order) != len(raw_nodes):
         raise GameFormatError("document contains unreachable nodes")
 
@@ -514,28 +523,26 @@ def load_game(source):
     for oid in order:
         nd = by_id[oid]
         kind = nd.get("kind")
+        acts = nd.get("actions", [])
         if kind == "terminal":
-            if "utility_p1" not in nd:
-                raise GameFormatError(f"terminal node {oid}: no utility_p1")
-            if "actions" in nd and nd["actions"]:
+            if not _is_number(nd.get("utility_p1")):
+                raise GameFormatError(f"node {oid}: utility_p1 not a number")
+            if acts:
                 raise GameFormatError(f"terminal node {oid}: has actions")
             nodes.append(Node(utility=float(nd["utility_p1"])))
             continue
-        if kind not in _KIND_TO_OWNER:
+        if not isinstance(kind, str) or kind not in _KIND_TO_OWNER:
             raise GameFormatError(f"node {oid}: unknown kind {kind!r}")
         owner = _KIND_TO_OWNER[kind]
-        acts = nd.get("actions", [])
         if not acts:
             raise GameFormatError(f"node {oid}: non-terminal without actions")
-        labels = [a.get("label") for a in acts]
-        if any(not isinstance(l, str) for l in labels):
-            raise GameFormatError(f"node {oid}: action labels must be strings")
+        labels = [a["label"] for a in acts]
         children = [index[a["child"]] for a in acts]
         if owner == CHANCE:
             if "infoset" in nd:
                 raise GameFormatError(f"chance node {oid}: has infoset")
-            if any("prob" not in a for a in acts):
-                raise GameFormatError(f"chance node {oid}: missing prob")
+            if not all(_is_number(a.get("prob")) for a in acts):
+                raise GameFormatError(f"chance node {oid}: prob not a number")
             probs = np.asarray([float(a["prob"]) for a in acts])
             nodes.append(Node(owner=CHANCE, actions=labels,
                               children=children, chance_probs=probs))
@@ -562,8 +569,7 @@ def load_game(source):
     infosets = [Infoset(*infoset_meta[i]) for i in range(n_sets)]
 
     scale = doc.get("utility_scale", 1.0)
-    if (not isinstance(scale, (int, float)) or isinstance(scale, bool)
-            or not np.isfinite(scale) or scale <= 0.0):
+    if not _is_number(scale) or scale <= 0.0:
         raise GameFormatError(
             f"'utility_scale' must be a positive number, got {scale!r}")
     return GameTree(name, nodes, infosets, utility_scale=float(scale))

@@ -14,14 +14,16 @@ import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
 from . import solvers
 from .evaluate import (bregman_to_reference, compute_reference,
                        exploitability, perturbed_regularized_gap)
-from .game import load_game
+from .game import GameError, load_game
 from .games import build_kuhn, build_leduc
 from .regularizers import ENTROPY, EUCLIDEAN
 from .solvers import (SolverParams, SolverState, average_profile,
@@ -32,6 +34,10 @@ from .values import (FEEDBACK_KINDS, TRAJQ, infoset_reach, multiplier,
 
 ALGOS = ("qfr", "qfr-stoch", "qfr-lazy", "pga", "cfr", "cfrplus", "osmccfr",
          "mmd")
+OPTIMISTIC = ("qfr", "qfr-stoch", "qfr-lazy")
+AVERAGING = ("cfr", "cfrplus", "osmccfr")
+SAMPLED = ("qfr-stoch", "qfr-lazy")
+LAZY = ("qfr-lazy",)
 REGS = (ENTROPY, EUCLIDEAN)
 CSV_FIELDS = ("seed", "iter", "expl_last", "expl_avg", "reg_gap",
               "bregman_ref", "wall_ms")
@@ -104,7 +110,7 @@ class RunConfig:
                 raise ValueError(
                     f"{name} must be finite and {rule}, got {v!r}")
         parse_schedule(self.schedule)
-        if self.algo in ("qfr-stoch", "qfr-lazy") and self.feedback != TRAJQ:
+        if self.algo in SAMPLED and self.feedback != TRAJQ:
             raise ValueError(f"{self.algo} samples trajectory-q estimates; "
                              f"pass feedback 'tq'")
         if self.track_bregman and self.tau == 0.0:
@@ -115,11 +121,15 @@ RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
 
 def resolve_game(name):
+    """The built-in game "kuhn" or "leduc", or the game in JSON file `name`."""
     if name == "kuhn":
         return build_kuhn()
     if name == "leduc":
         return build_leduc()
-    return load_game(name)
+    try:
+        return load_game(name)
+    except GameError as e:
+        raise type(e)(f"{name}: {e}") from e
 
 
 @dataclass
@@ -134,10 +144,9 @@ def _eval_row(tree, cfg, params, state, seed, it, t0, reference, constants):
     row["seed"] = seed
     row["iter"] = it
     row["expl_last"] = exploitability(tree, state.cur_views)
-    if cfg.algo in ("cfr", "cfrplus", "osmccfr"):
+    if cfg.algo in AVERAGING:
         row["expl_avg"] = exploitability(tree, average_profile(state, tree))
-    center = (state.bar_views if cfg.algo in ("qfr", "qfr-stoch", "qfr-lazy")
-              else state.cur_views)
+    center = state.bar_views if cfg.algo in OPTIMISTIC else state.cur_views
     if cfg.tau > 0.0:
         row["reg_gap"] = perturbed_regularized_gap(
             tree, center, cfg.tau, cfg.alpha, cfg.reg, params.simplexes)
@@ -161,12 +170,12 @@ def run_single(cfg, seed, reference=None, tree=None):
     params = SolverParams(
         tree, feedback=cfg.feedback, family=cfg.reg, alpha=cfg.alpha,
         tau=cfg.tau, gamma=cfg.gamma, eta=cfg.eta, schedule=cfg.schedule,
-        explore_eps=cfg.explore_eps, anneal_decay=cfg.anneal_decay or None,
-        anneal_every=cfg.anneal_every or None)
+        explore_eps=cfg.explore_eps, anneal_decay=cfg.anneal_decay,
+        anneal_every=cfg.anneal_every)
     state = SolverState(tree, params)
     rng = np.random.default_rng(seed)
     constants = None
-    if cfg.algo in ("qfr", "qfr-stoch", "qfr-lazy") and cfg.gamma > 0.0:
+    if cfg.algo in OPTIMISTIC and cfg.gamma > 0.0:
         constants = game_constants(tree, params.feedback, cfg.reg,
                                    cfg.alpha, cfg.tau, cfg.gamma)
 
@@ -185,15 +194,10 @@ def run_single(cfg, seed, reference=None, tree=None):
     t0 = time.perf_counter()
     rows = []
     violations = 0
-    eval_points = set()
-    if cfg.eval_every > 0:
-        eval_points.update(range(cfg.eval_every, cfg.iters + 1,
-                                 cfg.eval_every))
-    eval_points.add(cfg.iters)
     for it in range(1, cfg.iters + 1):
         step()
-        if it in eval_points:
-            if cfg.algo == "qfr-lazy":
+        if it == cfg.iters or (cfg.eval_every and it % cfg.eval_every == 0):
+            if cfg.algo in LAZY:
                 lazy_catch_up(state, tree, params)
             row, v = _eval_row(tree, cfg, params, state, seed, it, t0,
                                reference, constants)
@@ -202,10 +206,19 @@ def run_single(cfg, seed, reference=None, tree=None):
     return RunOutcome(rows, violations, state.profile(tree))
 
 
-def _rep_worker(args):
-    cfg, seed, reference = args
-    out = run_single(cfg, seed, reference)
-    return out.rows, out.m_violations
+def _run_ops(ops, jobs, tree, reference=None):
+    """RunOutcomes of the (RunConfig, seed) operations `ops`, in order: in
+    this process on the one game `tree`, or with jobs > 1 in a pool of
+    worker processes that each build the game."""
+    if jobs > 1 and len(ops) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run_single, *zip(*ops), repeat(reference)))
+    return [run_single(cfg, seed, reference, tree) for cfg, seed in ops]
+
+
+def _open_out(path):
+    # Opened before any work, so a bad output path fails at once.
+    return open(path, "w", newline="") if path else nullcontext()
 
 
 def run(cfg):
@@ -215,28 +228,17 @@ def run(cfg):
     of worker processes.
     """
     tree = resolve_game(cfg.game)
-    reference = None
-    if cfg.track_bregman:
-        reference, _ = compute_reference(tree, cfg.tau, cfg.alpha, cfg.reg,
-                                         cfg.gamma)
-    seeds = list(range(cfg.seed, cfg.seed + cfg.reps))
-    rows = []
-    violations = 0
-    if cfg.jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for rws, v in pool.map(_rep_worker,
-                                   [(cfg, s, reference) for s in seeds]):
-                rows.extend(rws)
-                violations += v
-    else:
-        for s in seeds:
-            out = run_single(cfg, s, reference, tree)
-            rows.extend(out.rows)
-            violations += out.m_violations
-    outcome = RunOutcome(rows, violations)
-    if cfg.out:
-        write_csv(rows, cfg.out)
-    return outcome
+    with _open_out(cfg.out) as f:
+        reference = None
+        if cfg.track_bregman:
+            reference, _ = compute_reference(tree, cfg.tau, cfg.alpha,
+                                             cfg.reg, cfg.gamma)
+        seeds = range(cfg.seed, cfg.seed + cfg.reps)
+        outs = _run_ops([(cfg, s) for s in seeds], cfg.jobs, tree, reference)
+        rows = [row for out in outs for row in out.rows]
+        if cfg.out:
+            _write_rows(f, CSV_FIELDS, rows, _fmt)
+    return RunOutcome(rows, sum(out.m_violations for out in outs))
 
 
 def _fmt(v):
@@ -251,23 +253,17 @@ def write_csv(rows, path):
     """Write convergence rows with the fixed header, '.' decimals and
     newline-only line endings; untracked metrics stay empty."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(CSV_FIELDS)
-        for row in rows:
-            w.writerow([_fmt(row[k]) for k in CSV_FIELDS])
+        _write_rows(f, CSV_FIELDS, rows, _fmt)
+
+
+def _write_rows(f, header, rows, fmt):
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([fmt(row[k]) for k in header] for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # Grid search
-
-
-def _cell_worker(cfg):
-    seeds = list(range(cfg.seed, cfg.seed + cfg.reps))
-    finals = []
-    for s in seeds:
-        out = run_single(cfg, s)
-        finals.append(out.rows[-1]["expl_last"])
-    return float(np.mean(finals))
 
 
 def grid(spec):
@@ -307,26 +303,23 @@ def grid(spec):
     cells = [RunConfig(**{**spec, "eta": eta, "tau": tau, "gamma": gamma})
              for eta in axes["eta"] for tau in axes["tau"]
              for gamma in axes["gamma"]]
-    jobs, out_path = cells[0].jobs, cells[0].out
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            metrics = list(pool.map(_cell_worker, cells))
-    else:
-        metrics = [_cell_worker(c) for c in cells]
-
-    results = [{"eta": c.eta, "tau": c.tau, "gamma": c.gamma, "expl": m,
-                "diverged": not np.isfinite(m)}
-               for c, m in zip(cells, metrics)]
-    # A non-finite exploitability has no rank: diverged cells go last, in
-    # parameter order.
-    ranked = sorted(results, key=lambda r: (
-        r["diverged"], 0.0 if r["diverged"] else r["expl"], r["eta"],
-        r["tau"], r["gamma"]))
-    if out_path:
-        with open(out_path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["eta", "tau", "gamma", "expl"])
-            for r in ranked:
-                w.writerow([repr(float(r["eta"])), repr(float(r["tau"])),
-                            repr(float(r["gamma"])), repr(float(r["expl"]))])
+    tree = resolve_game(cells[0].game)
+    with _open_out(cells[0].out) as f:
+        ops = [(c, s) for c in cells for s in range(c.seed, c.seed + c.reps)]
+        finals = [out.rows[-1]["expl_last"]
+                  for out in _run_ops(ops, cells[0].jobs, tree)]
+        reps = cells[0].reps
+        metrics = [float(np.mean(finals[i:i + reps]))
+                   for i in range(0, len(finals), reps)]
+        results = [{"eta": c.eta, "tau": c.tau, "gamma": c.gamma, "expl": m,
+                    "diverged": not np.isfinite(m)}
+                   for c, m in zip(cells, metrics)]
+        # A non-finite exploitability has no rank: diverged cells go last,
+        # in parameter order.
+        ranked = sorted(results, key=lambda r: (
+            r["diverged"], 0.0 if r["diverged"] else r["expl"], r["eta"],
+            r["tau"], r["gamma"]))
+        if cells[0].out:
+            _write_rows(f, ("eta", "tau", "gamma", "expl"), ranked,
+                        lambda v: repr(float(v)))
     return ranked, ranked[0]

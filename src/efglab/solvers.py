@@ -56,7 +56,7 @@ class SolverParams:
 
     def __init__(self, tree, feedback=QVALUE, family=ENTROPY, alpha=1.0,
                  tau=0.0, gamma=0.0, eta=0.1, schedule="uniform",
-                 explore_eps=0.6, anneal_decay=None, anneal_every=None):
+                 explore_eps=0.6, anneal_decay=0.0, anneal_every=0):
         n = tree.num_infosets
         if feedback not in (CF, QVALUE, TRAJQ):
             raise ValueError(f"unknown feedback kind {feedback!r}")
@@ -124,7 +124,7 @@ class SolverState:
         return [v.copy() for v in self.bar_views]
 
 
-def local_tau0(params, tau, m, opp_reach, own_reach):
+def local_tau0(params, tau, opp_reach, own_reach):
     """Per-infoset local regularizer weight tau * opp_reach / m."""
     if params.feedback == CF:
         return tau * opp_reach
@@ -170,7 +170,7 @@ def qfr_full_step(state, tree, params):
     tau = params.effective_tau(state.t)
     q_flat, m, ownr, oppr, _ = feedback_flat(
         tree, state.cur, params.feedback, tau, params.alpha, params.family)
-    tau0 = local_tau0(params, tau, m, oppr, ownr)
+    tau0 = local_tau0(params, tau, oppr, ownr)
     _batched_update(state, params, -q_flat, tau0)
     state.t += 1
     state.last_seen[:] = state.t
@@ -183,7 +183,7 @@ def mmd_step(state, tree, params):
     tau = params.effective_tau(state.t)
     q_flat, m, ownr, oppr, _ = feedback_flat(
         tree, state.cur, params.feedback, tau, params.alpha, params.family)
-    tau0 = local_tau0(params, tau, m, oppr, ownr)
+    tau0 = local_tau0(params, tau, oppr, ownr)
     _batched_update(state, params, -q_flat, tau0, optimistic=False)
     state.t += 1
     return m

@@ -145,6 +145,47 @@ def test_load_rejects_bad_utility_scale(pennies, scale):
         load_game(doc)
 
 
+def _coin_doc():
+    """A valid document: a fair coin, then one player-1 decision."""
+    return {"name": "coin", "root": 0, "nodes": [
+        {"id": 0, "kind": "chance", "actions": [
+            {"label": "a", "child": 1, "prob": 0.5},
+            {"label": "b", "child": 3, "prob": 0.5}]},
+        {"id": 1, "kind": "p1", "infoset": 0, "actions": [
+            {"label": "x", "child": 2}]},
+        {"id": 2, "kind": "terminal", "utility_p1": 0.0},
+        {"id": 3, "kind": "terminal", "utility_p1": 0.0}]}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(nodes=[5]),
+    lambda doc: doc["nodes"][1].update(actions=5),
+    lambda doc: doc["nodes"][1].update(actions=[5]),
+    lambda doc: doc["nodes"][2].update(utility_p1=None),
+    lambda doc: doc["nodes"][0]["actions"][0].update(prob=[0.5]),
+    lambda doc: doc.update(root=[0]),
+    lambda doc: doc["nodes"][1]["actions"][0].update(child=[2]),
+    lambda doc: doc["nodes"][1].update(kind=["p1"]),
+    lambda doc: doc["nodes"][3].update(utility_p1=10 ** 400),
+    lambda doc: doc["nodes"][0]["actions"][1].update(prob=float("nan")),
+], ids=["node not an object", "actions not a list", "action not an object",
+        "utility null", "prob a list", "root a list", "child a list",
+        "kind a list", "utility beyond float", "prob nan"])
+def test_load_rejects_entries_of_the_wrong_type(edit):
+    doc = _coin_doc()
+    assert load_game(doc).num_infosets == 1
+    edit(doc)
+    with pytest.raises(GameFormatError):
+        load_game(doc)
+
+
+def test_load_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("")
+    with pytest.raises(GameFormatError, match="not a JSON document"):
+        load_game(str(path))
+
+
 # ---------------------------------------------------------------------------
 # Sequence form
 

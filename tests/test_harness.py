@@ -146,13 +146,12 @@ def test_grid_ranks_and_keeps_divergent_cells():
 
 
 def test_grid_ranks_non_finite_cells_last(monkeypatch):
-    from efglab import harness
-
-    def fake_worker(cfg):
-        return {0.1: float("nan"), 0.01: 0.5, 0.001: float("inf"),
+    def fake_run_single(cfg, seed, reference=None, tree=None):
+        expl = {0.1: float("nan"), 0.01: 0.5, 0.001: float("inf"),
                 0.0001: 0.25}[cfg.eta]
+        return harness.RunOutcome([{"expl_last": expl}])
 
-    monkeypatch.setattr(harness, "_cell_worker", fake_worker)
+    monkeypatch.setattr(harness, "run_single", fake_run_single)
     spec = {"game": "kuhn", "algo": "qfr", "feedback": "q",
             "grid": {"eta": [0.1, 0.01, 0.001, 0.0001], "tau": [0.01],
                      "gamma": [0.01]}}
@@ -219,10 +218,9 @@ def test_cli_run_rejects_bad_rates(tmp_path, capsys, flag, value):
 def test_cli_grid_rejects_bad_rates_before_any_cell_runs(tmp_path, capsys,
                                                          monkeypatch, rate,
                                                          message):
-    from efglab import harness
-
     ran = []
-    monkeypatch.setattr(harness, "_cell_worker", ran.append)
+    monkeypatch.setattr(harness, "run_single",
+                        lambda *a, **k: ran.append(a))
     spec_path = tmp_path / "g.json"
     spec_path.write_text(json.dumps({
         "game": "kuhn", "algo": "pga", "feedback": "cf", "iters": 5,
@@ -447,21 +445,21 @@ BAD_RUN_IDS = [" ".join(flags) for flags, _ in BAD_RUNS]
 
 @pytest.fixture
 def no_runs(monkeypatch):
-    """Record every call of run_single and _cell_worker instead of making
-    it."""
+    """Record every call of run_single instead of making it."""
     calls = []
     monkeypatch.setattr(harness, "run_single",
                         lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(harness, "_cell_worker", calls.append)
     return calls
 
 
 def _assert_one_error_line(capsys, rc):
+    """Check for exit code 2 and a single error line; return that line."""
     assert rc == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert captured.out == ""
+    return lines[0]
 
 
 @pytest.mark.parametrize("fields", [f for _, f in BAD_RUNS],
@@ -481,12 +479,24 @@ def test_run_config_rejects_bad_types_and_values(fields):
         RunConfig(**fields)
 
 
+def _game_file(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    return str(path)
+
+
 def _bad_utility_game(tmp_path):
     doc = dump_game(build_matching_pennies())
     doc["nodes"][2]["utility_p1"] = 5.0
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    return _game_file(tmp_path, json.dumps(doc))
+
+
+BAD_GAME_FILES = {
+    "utility 5": _bad_utility_game,
+    "empty file": lambda tmp_path: _game_file(tmp_path, ""),
+    "node not an object": lambda tmp_path: _game_file(
+        tmp_path, '{"name": "x", "root": 0, "nodes": [5]}'),
+}
 
 
 @pytest.mark.parametrize("flags", [f for f, _ in BAD_RUNS] + [
@@ -524,6 +534,49 @@ def test_cli_grid_rejects_bad_spec_before_any_cell_runs(tmp_path, capsys,
     path.write_text(json.dumps(spec))
     _assert_one_error_line(capsys, cli_main(["grid", "--spec", str(path)]))
     assert no_runs == []
+
+
+@pytest.mark.parametrize("command", ["run", "bestresp"])
+@pytest.mark.parametrize("make", BAD_GAME_FILES.values(), ids=BAD_GAME_FILES)
+def test_cli_game_file_errors_name_the_file(tmp_path, capsys, no_runs,
+                                            command, make):
+    path = make(tmp_path)
+    line = _assert_one_error_line(capsys,
+                                  cli_main([command, "--game", path]))
+    assert line.startswith(f"error: {path}: ")
+    assert no_runs == []
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_cli_rejects_an_unwritable_out_before_any_work(tmp_path, capsys,
+                                                       monkeypatch, no_runs,
+                                                       command):
+    monkeypatch.setattr(harness, "compute_reference",
+                        lambda *a, **k: no_runs.append(a))
+    out = str(tmp_path / "missing" / "x.csv")
+    if command == "run":
+        argv = ["run", "--track-bregman", "--tau", "0.1", "--out", out]
+    else:
+        spec = tmp_path / "g.json"
+        spec.write_text(json.dumps({**_one_cell_spec({}), "out": out}))
+        argv = ["grid", "--spec", str(spec)]
+    assert out in _assert_one_error_line(capsys, cli_main(argv))
+    assert no_runs == []
+
+
+def test_grid_with_one_job_builds_its_game_once(monkeypatch):
+    built = []
+
+    def counting_resolve_game(name):
+        built.append(name)
+        return resolve_game(name)
+
+    monkeypatch.setattr(harness, "resolve_game", counting_resolve_game)
+    spec = {"game": "kuhn", "algo": "qfr", "feedback": "q", "iters": 2,
+            "eval_every": 2, "reps": 2,
+            "grid": {"eta": [0.1, 0.01], "tau": [0.01], "gamma": [0.01]}}
+    assert len(grid(spec)[0]) == 2
+    assert built == ["kuhn"]
 
 
 def test_grid_names_an_unknown_spec_key():
