@@ -38,7 +38,7 @@ def _reg_best_response(tree, profile, player, tau=0.0, alpha=1.0,
     else:
         gamma = np.asarray([s.gamma for s in simplexes], dtype=np.float64)
         nu = np.concatenate([s.nu for s in simplexes])
-    own_depth = np.asarray([s.own_depth for s in tree.infosets])
+    own_depth = tree.own_depth
     mine = tree.infoset_owner == player
 
     flat = flatten_profile(tree, profile)

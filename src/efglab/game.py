@@ -131,8 +131,8 @@ class GameTree:
         order = np.argsort(depth_arr[list(parent)], kind="stable")
         self.edge_parent = np.asarray(parent, dtype=np.int64)[order]
         self.edge_child = np.asarray(child, dtype=np.int64)[order]
-        self.edge_infoset = np.asarray(infoset, dtype=np.int64)[order]
-        self.edge_action = np.asarray(action, dtype=np.int64)[order]
+        edge_infoset = np.asarray(infoset, dtype=np.int64)[order]
+        edge_action = np.asarray(action, dtype=np.int64)[order]
         self.edge_chance_prob = np.asarray(prob, dtype=np.float64)[order]
         bounds = np.searchsorted(depth_arr[self.edge_parent],
                                  np.arange(depth_arr.max() + 2))
@@ -152,14 +152,6 @@ class GameTree:
         self.num_pairs = int(self.actions_per_infoset.sum())
         self.pair_infoset = np.repeat(np.arange(self.num_infosets),
                                       self.actions_per_infoset)
-        dec = self.edge_infoset >= 0
-        self.edge_pair = np.where(
-            dec, self.infoset_offset[np.clip(self.edge_infoset, 0, None)]
-            + self.edge_action, -1)
-        owners = np.asarray([(-1 if n.is_terminal else n.owner)
-                             for n in self.nodes], dtype=np.int64)
-        self.node_owner = owners
-        self.edge_owner = owners[self.edge_parent]
         self.member_node = np.asarray(
             [h for s in self.infosets for h in s.members], dtype=np.int64)
         self.member_infoset = np.repeat(
@@ -169,6 +161,48 @@ class GameTree:
                                        dtype=np.int64)
         self.infoset_owner = np.asarray([s.owner for s in self.infosets],
                                         dtype=np.int64)
+
+        # Decision edges: their index among the edges, pair, parent, child
+        # and sign (+1 where player 1 acts, -1 where player 2 does).
+        dec = edge_infoset >= 0
+        self.dec_edge = np.flatnonzero(dec)
+        self.dec_pair = (self.infoset_offset[edge_infoset[dec]]
+                         + edge_action[dec])
+        self.dec_parent = self.edge_parent[dec]
+        self.dec_child = self.edge_child[dec]
+        dec_row = self.infoset_owner[edge_infoset[dec]] - PLAYER1
+        self.dec_sign = np.where(dec_row == 0, 1.0, -1.0)
+
+        # Sequence form (von Stengel 1996): a player's reach at a node is
+        # the realization weight of the player's last own pair on the path
+        # to it. node_seq[p - 1] holds that pair for player p (-1 for the
+        # empty sequence). Chance reach does not depend on the profile, so
+        # it is swept here once.
+        chance_weight = np.where(dec, 1.0, self.edge_chance_prob)
+        dec_bounds = np.searchsorted(self.dec_edge, bounds)
+        seq = np.full((2, self.num_nodes), -1, dtype=np.int64)
+        chance_reach = np.ones(self.num_nodes)
+        for (lo, hi), a, b in zip(self.edge_level_slices, dec_bounds[:-1],
+                                  dec_bounds[1:]):
+            par = self.edge_parent[lo:hi]
+            ch = self.edge_child[lo:hi]
+            seq[:, ch] = seq[:, par]
+            seq[dec_row[a:b], self.dec_child[a:b]] = self.dec_pair[a:b]
+            chance_reach[ch] = chance_reach[par] * chance_weight[lo:hi]
+        self.node_seq = seq
+        chance_reach.flags.writeable = False
+        self.chance_reach = chance_reach
+        # The pairs of each own depth, shallowest first, with the pair of
+        # their parent sequence: the owner's last own pair at the first
+        # member of the infoset.
+        parent_pair = seq[self.infoset_owner - PLAYER1, self.first_member]
+        pair_depth = self.own_depth[self.pair_infoset]
+        self.seq_levels = [
+            (pairs, parent_pair[self.pair_infoset[pairs]])
+            for pairs in (np.flatnonzero(pair_depth == d)
+                          for d in range(1, pair_depth.max() + 1))]
+        # Chance reach at each decision edge's parent.
+        self.dec_chance = chance_reach[self.dec_parent]
 
 
 def _validate_structure(tree):
@@ -308,6 +342,8 @@ def _check_perfect_recall(tree):
             if tree.infosets[ps].own_depth >= s.own_depth:
                 raise GameValidationError(
                     f"infoset {si}: parent sequence not shallower")
+    tree.own_depth = np.asarray([s.own_depth for s in tree.infosets],
+                                dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +449,7 @@ def gamma_lower_bound(tree, gamma0):
     Equals gamma0 ** D / num_infosets where D is the maximum infoset depth
     counted in the owner's own actions.
     """
-    d = max(s.own_depth for s in tree.infosets)
+    d = int(tree.own_depth.max())
     return gamma0 ** d / tree.num_infosets
 
 
@@ -455,6 +491,11 @@ def _is_number(v):
             and abs(v) <= float(np.finfo(float).max))
 
 
+def _is_int(v):
+    """A JSON integer (not a bool, although bool subclasses int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_game(source):
     """Load a game from a JSON document (dict, path, or file object).
 
@@ -475,17 +516,21 @@ def load_game(source):
         root = doc["root"]
     except (KeyError, TypeError) as e:
         raise GameFormatError(f"missing required field: {e}") from e
+    if not isinstance(name, str):
+        raise GameFormatError(f"'name' must be a string, got {name!r}")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise GameFormatError("'nodes' must be a non-empty list")
 
     by_id = {}
     for nd in raw_nodes:
-        if not isinstance(nd, dict) or not isinstance(nd.get("id"), int):
+        if not isinstance(nd, dict) or not _is_int(nd.get("id")):
             raise GameFormatError("every node needs an integer 'id'")
         if nd["id"] in by_id:
             raise GameFormatError(f"duplicate node id {nd['id']}")
         by_id[nd["id"]] = nd
-    if not isinstance(root, int) or root not in by_id:
+    if not _is_int(root):
+        raise GameFormatError(f"'root' must be an integer id, got {root!r}")
+    if root not in by_id:
         raise GameFormatError(f"root id {root} not present")
 
     # Depth-first preorder from root for topological numbering (matches the
@@ -502,7 +547,7 @@ def load_game(source):
         acts = nd.get("actions", [])
         if not isinstance(acts, list) or not all(
                 isinstance(a, dict) and isinstance(a.get("label"), str)
-                and isinstance(a.get("child"), int) for a in acts):
+                and _is_int(a.get("child")) for a in acts):
             raise GameFormatError(
                 f"node {oid}: actions must be a list of objects with a "
                 f"string 'label' and an integer 'child'")
@@ -551,7 +596,7 @@ def load_game(source):
                 raise GameFormatError(
                     f"decision node {oid}: prob only allowed at chance nodes")
             si = nd.get("infoset")
-            if not isinstance(si, int) or si < 0:
+            if not _is_int(si) or si < 0:
                 raise GameFormatError(f"node {oid}: bad infoset id")
             meta = infoset_meta.setdefault(si, (owner, labels))
             if meta != (owner, labels):

@@ -19,8 +19,7 @@ action) in the tree's canonical order; see game.flatten_profile.
 
 import numpy as np
 
-from .game import (CHANCE, PLAYER1, PLAYER2, flatten_profile,
-                   unflatten_profile)
+from .game import PLAYER1, flatten_profile, unflatten_profile
 from .regularizers import local_psi, psi_flat
 
 CF = "cf"
@@ -51,27 +50,28 @@ class FeedbackBundle:
 
 def edge_weights_flat(tree, flat):
     """Action probability (chance probability) for every tree edge."""
-    dec = tree.edge_pair >= 0
     w = tree.edge_chance_prob.copy()
-    w[dec] = flat[tree.edge_pair[dec]]
+    w[tree.dec_edge] = flat[tree.dec_pair]
     return w
 
 
 def reach_flat(tree, flat):
     """Per-node reach contributions (mu1, mu2, muc) from a flat profile.
 
-    Row p of the sweep holds participant p's reach (CHANCE, PLAYER1,
-    PLAYER2); each edge multiplies only its owner's row.
+    One sweep over sequences: a player's reach at a node is the
+    realization weight x of the player's last own (infoset, action) pair on
+    the path to it (tree.node_seq), and x[pair] = x[parent pair] *
+    flat[pair] is filled one own depth at a time, shallowest first. Each
+    reach multiplies the same factors in the same root-to-node order as a
+    node-by-node pass. muc is the tree's read-only chance_reach, which does
+    not depend on the profile.
     """
-    mu = np.ones((3, tree.num_nodes))
-    w = edge_weights_flat(tree, flat)
-    for lo, hi in tree.edge_level_slices:
-        ch = tree.edge_child[lo:hi]
-        par = tree.edge_parent[lo:hi]
-        for row in mu:
-            row[ch] = row[par]
-        mu[tree.edge_owner[lo:hi], ch] *= w[lo:hi]
-    return mu[PLAYER1], mu[PLAYER2], mu[CHANCE]
+    x = np.empty(tree.num_pairs + 1)
+    x[-1] = 1.0  # the empty sequence, node_seq's -1
+    for pairs, parents in tree.seq_levels:
+        x[pairs] = x[parents] * flat[pairs]
+    mu1, mu2 = x[tree.node_seq]
+    return mu1, mu2, tree.chance_reach
 
 
 def infoset_reach(tree, reach):
@@ -85,7 +85,8 @@ def infoset_reach(tree, reach):
     fm = tree.first_member
     own_reach = np.where(tree.infoset_owner == PLAYER1, mu1[fm], mu2[fm])
     mn = tree.member_node
-    mopp = np.where(tree.node_owner[mn] == PLAYER1, mu2[mn], mu1[mn])
+    mopp = np.where(tree.infoset_owner[tree.member_infoset] == PLAYER1,
+                    mu2[mn], mu1[mn])
     opp_reach = np.bincount(tree.member_infoset, weights=muc[mn] * mopp,
                             minlength=tree.num_infosets)
     return own_reach, opp_reach
@@ -122,7 +123,7 @@ def value_to_go(tree, flat, tau, alpha, family):
     t = np.zeros(tree.num_nodes)
     if tau != 0.0:
         psis = psi_flat(tree, flat, alpha, family)
-        sgn = np.where(tree.node_owner[tree.member_node] == PLAYER1,
+        sgn = np.where(tree.infoset_owner[tree.member_infoset] == PLAYER1,
                        -1.0, 1.0)
         t[tree.member_node] = sgn * (tau * psis[tree.member_infoset])
     t[tree.terminal_ids] = tree.terminal_utils
@@ -137,14 +138,12 @@ def value_to_go(tree, flat, tau, alpha, family):
 def counterfactual_values(tree, reach, t):
     """Flat counterfactual values of every (infoset, action) pair for its
     owner, from reach_flat's output and value_to_go's player-1 values."""
-    mu1, mu2, muc = reach
-    dec = tree.edge_pair >= 0
-    par = tree.edge_parent[dec]
-    ch = tree.edge_child[dec]
-    own_is1 = tree.edge_owner[dec] == PLAYER1
-    wpar = muc[par] * np.where(own_is1, mu2[par], mu1[par])
-    tval = np.where(own_is1, t[ch], -t[ch])
-    return np.bincount(tree.edge_pair[dec], weights=wpar * tval,
+    mu1, mu2, _ = reach
+    par = tree.dec_parent
+    sign = tree.dec_sign
+    wpar = tree.dec_chance * np.where(sign > 0.0, mu2[par], mu1[par])
+    tval = sign * t[tree.dec_child]
+    return np.bincount(tree.dec_pair, weights=wpar * tval,
                        minlength=tree.num_pairs)
 
 

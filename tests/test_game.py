@@ -179,6 +179,36 @@ def test_load_rejects_entries_of_the_wrong_type(edit):
         load_game(doc)
 
 
+def _root_given_as_true(doc):
+    """Shift every node id up by one, so the root's id is 1, and give the
+    root as true."""
+    for nd in doc["nodes"]:
+        nd["id"] += 1
+        for act in nd.get("actions", []):
+            act["child"] += 1
+    doc["root"] = True
+
+
+# Each edit would load without the type checks: a bool passes for the
+# integer 1 (True == 1 and hash(True) == hash(1)), and the name is not read.
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(name=5),
+    lambda doc: doc.update(name=["pennies"]),
+    _root_given_as_true,
+    lambda doc: doc["nodes"][1].update(id=True),
+    lambda doc: doc["nodes"][0]["actions"][0].update(child=True),
+    lambda doc: doc["nodes"][1].update(infoset=True),
+], ids=["name a number", "name a list", "root a bool", "node id a bool",
+        "child a bool", "infoset a bool"])
+def test_load_rejects_a_bool_for_an_integer_and_a_name_not_a_string(
+        pennies, edit):
+    doc = dump_game(pennies)
+    assert load_game(doc).num_infosets == 2
+    edit(doc)
+    with pytest.raises(GameFormatError):
+        load_game(doc)
+
+
 def test_load_rejects_a_file_that_is_not_json(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("")

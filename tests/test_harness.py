@@ -496,6 +496,9 @@ BAD_GAME_FILES = {
     "empty file": lambda tmp_path: _game_file(tmp_path, ""),
     "node not an object": lambda tmp_path: _game_file(
         tmp_path, '{"name": "x", "root": 0, "nodes": [5]}'),
+    "name not a string": lambda tmp_path: _game_file(
+        tmp_path, json.dumps({**dump_game(build_matching_pennies()),
+                              "name": 5})),
 }
 
 

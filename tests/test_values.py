@@ -3,13 +3,45 @@
 import numpy as np
 import pytest
 
-from efglab.game import (PLAYER1, PLAYER2, flatten_profile, random_profile,
-                         uniform_profile)
+from efglab.game import (PLAYER1, PLAYER2, dump_game, flatten_profile,
+                         load_game, random_profile, uniform_profile)
 from efglab.regularizers import ENTROPY, local_psi
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            estimate_trajectory_q, infoset_reach, multiplier,
                            opponent_reach, reach_flat, sample_trajectory)
 from oracles import reach_probabilities, to_sequence_form
+
+
+# ---------------------------------------------------------------------------
+# Reach sweep
+
+
+def _profile_with_pure_rows(tree, rng):
+    """A random profile in which about a third of the rows are pure."""
+    prof = random_profile(tree, rng)
+    for si in range(tree.num_infosets):
+        if rng.random() < 1.0 / 3.0:
+            prof[si] = np.zeros_like(prof[si])
+            prof[si][rng.integers(prof[si].shape[0])] = 1.0
+    return prof
+
+
+@pytest.mark.parametrize("game", ["kuhn", "leduc", "pennies", "leduc-json"])
+def test_reach_flat_is_bit_identical_to_node_oracle(game, request, rng):
+    if game == "leduc-json":
+        tree = load_game(dump_game(request.getfixturevalue("leduc")))
+    else:
+        tree = request.getfixturevalue(game)
+    zeros = 0
+    for _ in range(6):
+        prof = _profile_with_pure_rows(tree, rng)
+        got = reach_flat(tree, flatten_profile(tree, prof))
+        want = reach_probabilities(tree, prof)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        zeros += int(np.sum(got[0] == 0.0) + np.sum(got[1] == 0.0))
+    assert zeros > 0
+    assert not tree.chance_reach.flags.writeable
 
 
 # ---------------------------------------------------------------------------
