@@ -204,6 +204,14 @@ class GameTree:
         # Chance reach at each decision edge's parent.
         self.dec_chance = chance_reach[self.dec_parent]
 
+        # The exploration distribution nu: one flat read-only pair array,
+        # and a tuple of per-infoset views into it.
+        nu_flat = _terminal_count_weights(self)
+        nu_flat.flags.writeable = False
+        self.nu_flat = nu_flat
+        self.nu = tuple(nu_flat[o:o + n] for o, n in
+                        zip(self.infoset_offset, self.actions_per_infoset))
+
 
 def _validate_structure(tree):
     nodes = tree.nodes
@@ -416,31 +424,28 @@ def exploration_distribution(tree):
     "terminal-for-i" infosets (infosets of i with no further own infosets
     below them) in the subtree hanging off (s, a); an action leading to no
     further own infoset counts as 1. Weights are normalized per infoset.
+    Returns the tree's tuple of read-only rows, built once with the tree.
     """
-    children = {}  # (infoset, action) -> child infosets of same owner
-    for si, s in enumerate(tree.infosets):
-        if s.parent_seq is not None:
-            children.setdefault(s.parent_seq, []).append(si)
+    return tree.nu
 
-    counts = [None] * tree.num_infosets
 
-    def count(si):
-        if counts[si] is not None:
-            return counts[si]
-        s = tree.infosets[si]
-        per_action = np.ones(s.num_actions)
-        for a in range(s.num_actions):
-            kids = children.get((si, a), [])
-            if kids:
-                per_action[a] = sum(count(k).sum() for k in kids)
-        counts[si] = per_action
-        return per_action
+def _terminal_count_weights(tree):
+    """Flat normalized action weights of exploration_distribution, swept
+    over tree.seq_levels from the deepest own depth up.
 
-    nu = []
-    for si in range(tree.num_infosets):
-        c = count(si)
-        nu.append(c / c.sum())
-    return nu
+    A pair's weight is the sum of the weights of its owner's pairs one own
+    depth below it, or 1 for a pair with none: the number of terminal-for-i
+    infosets under it. The weights are integers, so every sum is exact and
+    its order does not matter.
+    """
+    w = np.zeros(tree.num_pairs)
+    for pairs, parents in reversed(tree.seq_levels):
+        w[pairs] = np.maximum(w[pairs], 1.0)
+        below = parents >= 0
+        np.add.at(w, parents[below], w[pairs[below]])
+    total = np.bincount(tree.pair_infoset, weights=w,
+                        minlength=tree.num_infosets)
+    return w / total[tree.pair_infoset]
 
 
 def gamma_lower_bound(tree, gamma0):

@@ -73,7 +73,7 @@ class SolverParams:
         self.anneal_decay = anneal_decay
         self.anneal_every = anneal_every
         self.nu = exploration_distribution(tree)
-        self.nu_flat = np.concatenate(self.nu)
+        self.nu_flat = tree.nu_flat
         self.simplexes = [TruncatedSimplex(self.gamma[si], self.nu[si])
                           for si in range(n)]
         # Infosets grouped by action count, with row indices into the flat
@@ -85,7 +85,7 @@ class SolverParams:
         for na, ids in sorted(by_count.items()):
             idx = np.asarray(ids, dtype=np.int64)
             pairs = tree.infoset_offset[idx][:, None] + np.arange(na)
-            NU = np.stack([self.nu[si] for si in ids])
+            NU = self.nu_flat[pairs]
             self.groups.append((idx, pairs, NU))
 
     def effective_tau(self, t):
@@ -97,7 +97,14 @@ class SolverParams:
 
 class SolverState:
     """Mutable iterate state. cur/bar are flat pair arrays; the *_views
-    lists are persistent per-infoset views into them."""
+    lists are persistent per-infoset views into them.
+
+    at_fixed_point marks the infosets whose zero-feedback step at their
+    frozen weight last_tau0 returned bar bit for bit, so that cur equals
+    bar and every later such step is the identity. Only lazy replays set
+    the mark and lazy steps clear it where they move a row; a row or weight
+    written by any other means must clear it too.
+    """
 
     def __init__(self, tree, params):
         # Uniform strategies, projected onto the perturbed simplexes.
@@ -115,6 +122,7 @@ class SolverState:
         # Frozen local regularizer weights for lazy zero-feedback steps.
         own, _ = infoset_reach(tree, reach_flat(tree, self.cur))
         self.last_tau0 = params.effective_tau(0) * own
+        self.at_fixed_point = np.zeros(tree.num_infosets, dtype=bool)
 
     def profile(self, tree):
         """Copy of the current strategy as a per-infoset list."""
@@ -133,9 +141,14 @@ def local_tau0(params, tau, opp_reach, own_reach):
     return tau * opp_reach * own_reach
 
 
-def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None):
+def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None,
+                    unchanged=None):
     """Apply the (optionally optimistic) prox update at every infoset, or
-    only at the infosets where the boolean mask `rows` is set."""
+    only at the infosets where the boolean mask `rows` is set.
+
+    With `unchanged` (a boolean array over infosets), an optimistic update
+    also records at each updated infoset whether its new bar equals the old
+    one bit for bit."""
     for idx, pairs, NU in params.groups:
         if rows is not None:
             sel = rows[idx]
@@ -146,9 +159,13 @@ def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None):
         t0, et, al, gm = (tau0[idx], params.eta[idx], params.alpha[idx],
                           params.gamma[idx])
         if optimistic:
-            barn = prox_batch(params.family, state.bar[pairs], G, t0, et, al,
-                              gm, NU)
+            B = state.bar[pairs]
+            barn = prox_batch(params.family, B, G, t0, et, al, gm, NU)
             curn = prox_batch(params.family, barn, G, t0, et, al, gm, NU)
+            if unchanged is not None:
+                # Bit patterns, so that 0.0 and -0.0 count as different.
+                unchanged[idx] = (barn.view(np.uint64)
+                                  == B.view(np.uint64)).all(axis=1)
             state.bar[pairs] = barn
             state.cur[pairs] = curn
         else:
@@ -367,16 +384,29 @@ def _replay_pending(state, params, sel, t_now):
     The replay runs in lock-step: step j moves every row with more than j
     steps pending, so each row goes through the same sequence of prox
     solves as when replayed alone. A row whose frozen weight is 0 has no
-    regularizer pull; its zero-feedback step is the identity and is skipped.
+    regularizer pull and is skipped, as the eager step skips it.
+
+    Fixed-point rule: a zero-feedback step is a deterministic function of
+    the row's bar, its frozen weight and the fixed params. When a step
+    returns a row's bar bit for bit, the same step sets cur to prox(bar) =
+    bar, and every later step of that row is the identity. Such a row is
+    marked in state.at_fixed_point and leaves the replay; marked rows are
+    not replayed until lazy_qfr_step moves them again. The result is the
+    same bits as replaying every pending step.
     """
+    fixed = state.at_fixed_point
     pending = np.zeros(state.last_seen.shape[0], dtype=np.int64)
     pending[sel] = t_now - state.last_seen[sel]
-    pending[state.last_tau0 == 0.0] = 0
+    pending[fixed | (state.last_tau0 == 0.0)] = 0
     state.last_seen[sel] = t_now
     zero = np.zeros_like(state.cur)
     for j in range(pending.max()):
-        _batched_update(state, params, zero, state.last_tau0,
-                        rows=pending > j)
+        rows = pending > j
+        if not rows.any():
+            break
+        _batched_update(state, params, zero, state.last_tau0, rows=rows,
+                        unchanged=fixed)
+        pending[fixed] = 0
 
 
 class _CatchUpOnRead:
@@ -417,7 +447,11 @@ def lazy_qfr_step(state, tree, params, rng=None, traj=None):
     tau / m_s = tau * own_reach(sigma(s)); unvisited infosets accumulate
     pending steps via timestamps. Estimates use the own-regularizer-only
     (dilated) augmentation. Equivalent to qfr_lazy_eager_step given the
-    same trajectories."""
+    same trajectories.
+
+    The real update changes the visited rows and their frozen weights, so
+    it clears their fixed-point marks; replays of rows still marked are
+    skipped (see _replay_pending)."""
     tau = params.effective_tau(state.t)
     if traj is None:
         traj = sample_trajectory(tree, _CatchUpOnRead(state, params), rng)
@@ -427,6 +461,7 @@ def lazy_qfr_step(state, tree, params, rng=None, traj=None):
         _replay_pending(state, params, visits, state.t)
     g, visited = _lazy_feedback(state, tree, params, traj, tau)
     _batched_update(state, params, g, state.last_tau0, rows=visited)
+    state.at_fixed_point[visited] = False
     state.t += 1
     state.last_seen[visited] = state.t
     return traj
@@ -492,7 +527,6 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
              else np.asarray(alpha, dtype=np.float64))
     if gamma_seq is None:
         gamma_seq = gamma_lower_bound(tree, gamma0) if gamma0 > 0.0 else 0.0
-    nu = exploration_distribution(tree)
     na = tree.actions_per_infoset
     # Chance mass per infoset: opponent reach under the all-ones profile.
     _, chance_mass = infoset_reach(
@@ -522,7 +556,7 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
 
     tau_over_m1 = 0.0 if tau == 0.0 else (tau / m1 if m1 > 0.0 else np.inf)
     q_bound = tau_over_m1 * float(alpha.max()) * depth * psi_max + 1.0
-    floor_min = gamma0 * float(np.min(np.concatenate(nu)))
+    floor_min = gamma0 * float(np.min(tree.nu_flat))
     q_bound_sampled = q_bound / floor_min if floor_min > 0.0 else np.inf
 
     log1g = np.log(1.0 / gamma_seq) if gamma_seq > 0.0 else np.inf

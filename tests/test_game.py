@@ -363,6 +363,18 @@ def test_exploration_distribution_leaf_uniform(kuhn):
     assert found
 
 
+def test_exploration_distribution_is_built_once_and_read_only(kuhn, leduc):
+    for tree in (kuhn, leduc):
+        nu = exploration_distribution(tree)
+        assert nu is exploration_distribution(tree)
+        assert len(nu) == tree.num_infosets
+        assert np.array_equal(np.concatenate(nu), tree.nu_flat)
+        with pytest.raises(ValueError):
+            nu[0][0] = 0.5
+        with pytest.raises(ValueError):
+            tree.nu_flat[0] = 0.5
+
+
 def test_gamma_lower_bound_instances(kuhn):
     assert gamma_lower_bound(kuhn, 1.0) == pytest.approx(1.0 / 12.0)
     assert gamma_lower_bound(kuhn, 0.1) == pytest.approx(0.01 / 12.0)

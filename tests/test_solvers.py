@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from efglab import harness, solvers
 from efglab.evaluate import exploitability
 from efglab.game import PLAYER1, PLAYER2, load_game, uniform_profile
 from efglab.regularizers import ENTROPY, EUCLIDEAN
 from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             average_profile, cfr_plus_step, cfr_step,
-                            check_m_bounds, game_constants, lazy_qfr_step,
-                            lr_schedule, mmd_step, os_mccfr_step, pga_step,
+                            check_m_bounds, game_constants, lazy_catch_up,
+                            lazy_qfr_step, lr_schedule, mmd_step,
+                            os_mccfr_step, pga_step,
                             qfr_full_step, qfr_lazy_eager_step,
                             qfr_stochastic_step, schedule_report)
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
@@ -235,6 +237,90 @@ def test_lazy_no_pending_steps_single_update(kuhn):
         off = kuhn.infoset_offset[si]
         na = kuhn.actions_per_infoset[si]
         assert np.array_equal(s1.cur[off:off + na], s2.cur[off:off + na])
+
+
+def _visited_infosets(tree, traj):
+    return {tree.nodes[h].infoset for h in traj.nodes[:-1]
+            if not tree.nodes[h].is_chance}
+
+
+def _lazy_and_eager_step(tree, params, lazy, eager, traj):
+    lazy_qfr_step(lazy, tree, params, traj=traj)
+    qfr_lazy_eager_step(eager, tree, params, traj=traj)
+
+
+@pytest.mark.parametrize("family", (ENTROPY, EUCLIDEAN))
+def test_lazy_with_fixed_point_skip_matches_eager_on_leduc(leduc, family):
+    """Sampled lazy steps skip replays of rows at their fixed point; with a
+    catch-up every 50 steps they stay bit-equal to the eager reference."""
+    params = SolverParams(leduc, feedback=TRAJQ, family=family, tau=1e-3,
+                          gamma=1e-2, eta=1e-2)
+    lazy = SolverState(leduc, params)
+    eager = SolverState(leduc, params)
+    rng = np.random.default_rng(21)
+    for it in range(1, 201):
+        traj = lazy_qfr_step(lazy, leduc, params, rng)
+        qfr_lazy_eager_step(eager, leduc, params, traj=traj)
+        if it % 50 == 0:
+            lazy_catch_up(lazy, leduc, params)
+            assert np.array_equal(lazy.cur, eager.cur)
+            assert np.array_equal(lazy.bar, eager.bar)
+    assert lazy.at_fixed_point.any()
+
+
+@pytest.mark.parametrize("family", (ENTROPY, EUCLIDEAN))
+def test_lazy_row_marked_fixed_then_visited_replays_like_eager(leduc, family):
+    tree = leduc
+    params = SolverParams(tree, feedback=TRAJQ, family=family, tau=0.01,
+                          gamma=0.05, eta=0.05)
+    lazy = SolverState(tree, params)
+    eager = SolverState(tree, params)
+    rng = np.random.default_rng(23)
+    _lazy_and_eager_step(tree, params, lazy, eager,
+                         sample_trajectory(tree, eager.cur_views, rng))
+    lazy_catch_up(lazy, tree, params)
+    # Visit a row that the catch-up marked.
+    while True:
+        traj = sample_trajectory(tree, eager.cur_views, rng)
+        marked = [si for si in _visited_infosets(tree, traj)
+                  if lazy.at_fixed_point[si]]
+        if marked:
+            break
+    si = marked[0]
+    off, na = tree.infoset_offset[si], tree.actions_per_infoset[si]
+    before = lazy.bar[off:off + na].copy()
+    _lazy_and_eager_step(tree, params, lazy, eager, traj)
+    assert not lazy.at_fixed_point[si]
+    assert not np.array_equal(lazy.bar[off:off + na], before)
+    # Steps that leave it pending, then one catch-up that replays them.
+    for _ in range(20):
+        traj = sample_trajectory(tree, eager.cur_views, rng)
+        if si not in _visited_infosets(tree, traj):
+            _lazy_and_eager_step(tree, params, lazy, eager, traj)
+    assert lazy.last_seen[si] < lazy.t
+    visited_row = lazy.cur[off:off + na].copy()
+    lazy_catch_up(lazy, tree, params)
+    assert not np.array_equal(lazy.cur[off:off + na], visited_row)
+    assert np.array_equal(lazy.cur, eager.cur)
+    assert np.array_equal(lazy.bar, eager.bar)
+
+
+def test_lazy_leduc_run_skips_rows_at_their_fixed_point(leduc, monkeypatch):
+    """A 40-step Leduc qfr-lazy run (seed 1) solves fewer than 10,000 prox
+    rows; replaying every pending step solves 74,880."""
+    rows = []
+    prox_batch = solvers.prox_batch
+
+    def counting(family, X, *args):
+        rows.append(X.shape[0])
+        return prox_batch(family, X, *args)
+
+    monkeypatch.setattr(solvers, "prox_batch", counting)
+    cfg = harness.RunConfig(game="leduc", algo="qfr-lazy", feedback="tq",
+                            tau=1e-3, gamma=1e-2, eta=1e-2, iters=40,
+                            eval_every=20)
+    harness.run_single(cfg, 1, None, leduc)
+    assert 0 < sum(rows) < 10_000
 
 
 # ---------------------------------------------------------------------------
