@@ -4,18 +4,15 @@ from .game import (CHANCE, PLAYER1, PLAYER2, GameError, GameFormatError,
                    GameTree, GameValidationError, Infoset, Node, dump_game,
                    expected_utility, exploration_distribution,
                    flatten_profile, gamma_lower_bound, load_game,
-                   random_profile, save_game, unflatten_profile,
-                   uniform_profile, validate_perfect_recall,
-                   validate_profile)
+                   random_profile, unflatten_profile, uniform_profile,
+                   validate_perfect_recall, validate_profile)
 from .games import build_kuhn, build_leduc, build_matching_pennies
 from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
-                           argmax_regularized, bidilated_psi, bregman_local,
-                           bregman_tree, dilated_psi, full_simplex,
-                           local_psi, local_psi_grad,
-                           project_truncated_simplex, prox_step)
+                           argmax_regularized, bregman_local, bregman_tree,
+                           local_psi, project_truncated_simplex, prox_step)
 from .values import (CF, FEEDBACK_KINDS, QVALUE, TRAJQ, FeedbackBundle,
                      Trajectory, compute_feedback, estimate_trajectory_q,
-                     opponent_reach, sample_trajectory)
+                     sample_trajectory)
 from .solvers import (GameConstants, ScheduleReport, SolverParams,
                       SolverState, average_profile, cfr_plus_step, cfr_step,
                       check_m_bounds, game_constants, lazy_catch_up,

@@ -8,8 +8,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from .evaluate import best_response, exploitability
-from .game import (GameError, gamma_lower_bound, uniform_profile,
-                   validate_profile)
+from .game import (GameError, _is_number, gamma_lower_bound,
+                   uniform_profile, validate_profile)
 from .harness import (ALGOS, CSV_FIELDS, REGS, RunConfig, grid, resolve_game,
                       run)
 from .solvers import game_constants, lr_schedule, schedule_report
@@ -157,11 +157,15 @@ def _bestresp(game, profile):
     tree = resolve_game(game)
     if profile:
         with _reading(profile), open(profile) as f:
-            try:
-                profile = [np.asarray(x, dtype=np.float64)
-                           for x in json.load(f)]
-            except TypeError as e:  # not a list of lists of numbers
-                raise ValueError(e) from e
+            rows = json.load(f)
+            if not (isinstance(rows, list)
+                    and all(isinstance(x, list) for x in rows)):
+                raise ValueError("profile must be a list of lists of numbers")
+            for si, x in enumerate(rows):
+                if not all(map(_is_number, x)):
+                    raise ValueError(f"profile[{si}]: non-finite or "
+                                     f"non-numeric entries")
+            profile = [np.asarray(x, dtype=np.float64) for x in rows]
             validate_profile(tree, profile)
     else:
         profile = uniform_profile(tree)

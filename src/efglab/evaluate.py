@@ -1,5 +1,8 @@
 """Exact evaluation: best response, exploitability, regularized gaps.
 
+Every evaluator takes a profile as a per-infoset list or as a flat pair
+array and converts it once, through game.flatten_profile.
+
 A best response fixes the responder's infosets one own-depth at a time,
 deepest first: one value-to-go sweep values every infoset (its subtree
 holds only deeper, already fixed infosets of the responder) and one
@@ -12,40 +15,30 @@ import numpy as np
 
 from . import solvers
 from .game import PLAYER1, PLAYER2, flatten_profile, unflatten_profile
-from .regularizers import ENTROPY, argmax_batch, bregman_tree
+from .regularizers import ENTROPY, argmax_batch, bregman_tree_flat
 from .values import (QVALUE, counterfactual_values, infoset_reach,
                      reach_flat, value_to_go)
 
 
-def _reg_best_response(tree, profile, player, tau=0.0, alpha=1.0,
-                       family=ENTROPY, simplexes=None):
-    """Best response of `player` in the perturbed, regularized game.
-
-    Maximizes expected utility minus tau times the player's own
-    reach-weighted regularizer plus tau times the opponent's, over local
-    policies constrained to the given truncated simplexes (full simplexes
-    when None). Returns (value, flat) with flat the profile, as a flat pair
-    array, in which the player's strategies are replaced by the response.
-    With tau = 0 and full simplexes this is the exact best response (ties
-    broken toward the lowest action index).
-    """
+def _reg_best_response(tree, flat, reach, player, tau=0.0, alpha=1.0,
+                       family=ENTROPY, gamma=0.0):
+    """Value of `player`'s best response in the perturbed, regularized game:
+    expected utility minus tau times the player's own reach-weighted
+    regularizer plus tau times the opponent's, maximized over local policies
+    x >= gamma * nu (nu = tree.nu_flat). The response overwrites the
+    player's pairs of the flat profile `flat`, whose reach_flat is `reach`.
+    With tau = 0 and gamma = 0 it is the exact best response (ties broken
+    toward the lowest action index)."""
     n_sets = tree.num_infosets
     counts = tree.actions_per_infoset
     alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (n_sets,))
-    if simplexes is None:
-        gamma = np.zeros(n_sets)
-        nu = np.repeat(1.0 / counts, counts)
-    else:
-        gamma = np.asarray([s.gamma for s in simplexes], dtype=np.float64)
-        nu = np.concatenate([s.nu for s in simplexes])
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (n_sets,))
     own_depth = tree.own_depth
     mine = tree.infoset_owner == player
 
-    flat = flatten_profile(tree, profile)
     # One reach sweep serves every depth: the responder's choices change
     # only the responder's own reach, and neither the responder's
     # counterfactual values nor its opponent reach read it.
-    reach = reach_flat(tree, flat)
     opp_reach = infoset_reach(tree, reach)[1]
     for d in range(max(own_depth[mine], default=0), 0, -1):
         cf = counterfactual_values(
@@ -55,9 +48,10 @@ def _reg_best_response(tree, profile, player, tau=0.0, alpha=1.0,
             ids = np.flatnonzero(at_d & (counts == n))
             pairs = tree.infoset_offset[ids][:, None] + np.arange(n)
             flat[pairs] = argmax_batch(family, cf[pairs], tau * opp_reach[ids],
-                                       alpha[ids], gamma[ids], nu[pairs])
+                                       alpha[ids], gamma[ids],
+                                       tree.nu_flat[pairs])
     root = value_to_go(tree, flat, tau, alpha, family)[tree.root]
-    return float(root if player == PLAYER1 else -root), flat
+    return float(root if player == PLAYER1 else -root)
 
 
 def best_response(tree, profile, player):
@@ -67,14 +61,17 @@ def best_response(tree, profile, player):
     strategies and replaces the player's with the (pure, floored-vertex)
     best response; ties break toward the lowest action index.
     """
-    value, flat = _reg_best_response(tree, profile, player)
+    flat = flatten_profile(tree, profile)
+    value = _reg_best_response(tree, flat, reach_flat(tree, flat), player)
     return value, unflatten_profile(tree, flat)
 
 
 def _gap(tree, profile, *args):
-    """Sum of both players' regularized best-response values."""
-    return (_reg_best_response(tree, profile, PLAYER1, *args)[0]
-            + _reg_best_response(tree, profile, PLAYER2, *args)[0])
+    """Both players' regularized best-response values, summed."""
+    flat = flatten_profile(tree, profile)
+    reach = reach_flat(tree, flat)
+    return (_reg_best_response(tree, flat.copy(), reach, PLAYER1, *args)
+            + _reg_best_response(tree, flat, reach, PLAYER2, *args))
 
 
 def exploitability(tree, profile):
@@ -84,23 +81,25 @@ def exploitability(tree, profile):
 
 
 def perturbed_regularized_gap(tree, profile, tau, alpha=1.0, family=ENTROPY,
-                              simplexes=None):
+                              gamma=0.0):
     """Saddle-point gap of the perturbed, regularized game at `profile`.
 
     The objective is expected utility minus tau times player 1's
     reach-weighted regularizer plus tau times player 2's; each player's
-    deviations range over the truncated simplexes. Non-negative, zero only
-    at the regularized equilibrium.
+    deviations range over {x >= gamma * nu}, with gamma a scalar or one
+    value per infoset and nu = tree.nu_flat. Non-negative on profiles in
+    that set, zero only at the regularized equilibrium.
     """
-    return _gap(tree, profile, tau, alpha, family, simplexes)
+    return _gap(tree, profile, tau, alpha, family, gamma)
 
 
 def bregman_to_reference(tree, profile, reference, alpha=1.0,
                          family=ENTROPY):
     """Dilated Bregman divergence from the reference profile to `profile`,
     summed over both players (reference reach weights)."""
-    return (bregman_tree(tree, reference, profile, PLAYER1, alpha, family)
-            + bregman_tree(tree, reference, profile, PLAYER2, alpha, family))
+    d1, d2 = bregman_tree_flat(tree, flatten_profile(tree, reference),
+                               flatten_profile(tree, profile), alpha, family)
+    return d1 + d2
 
 
 # Gap checks without a new best gap before compute_reference halves its
@@ -145,18 +144,16 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
     params = solvers.SolverParams(tree, feedback=QVALUE, family=family,
                                   alpha=alpha, tau=tau, gamma=gamma, eta=eta)
     state = solvers.SolverState(tree, params)
-    simplexes = params.simplexes
     best_gap, best_bar, best_cur = np.inf, state.bar.copy(), state.cur.copy()
     stalled = 0
     eta_floor = min(eta, ETA_FLOOR)
     for it in range(1, max_iters + 1):
         solvers.qfr_full_step(state, tree, params)
         if it % check_every == 0 or it == max_iters:
-            prof = state.bar_profile(tree)
-            gap = perturbed_regularized_gap(tree, prof, tau, alpha, family,
-                                            simplexes)
+            gap = perturbed_regularized_gap(tree, state.bar, tau, alpha,
+                                            family, params.gamma)
             if gap <= tol:
-                return prof, gap
+                return unflatten_profile(tree, state.bar.copy()), gap
             if gap < best_gap:
                 best_gap, stalled = gap, 0
                 best_bar[:] = state.bar

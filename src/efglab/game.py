@@ -376,7 +376,14 @@ def random_profile(tree, rng, min_prob=0.0):
 
 
 def flatten_profile(tree, profile):
-    """Concatenate per-infoset distributions into one flat pair array."""
+    """A new flat float64 pair array from a per-infoset list of
+    distributions or from a flat pair array (a 1-D array over the tree's
+    pairs). Every exported evaluator accepts either form through here."""
+    if isinstance(profile, np.ndarray) and profile.ndim == 1:
+        if profile.shape != (tree.num_pairs,):
+            raise ValueError(f"flat profile of {profile.shape[0]} entries "
+                             f"for {tree.num_pairs} pairs")
+        return profile.astype(np.float64)
     return np.concatenate([np.asarray(profile[si], dtype=np.float64)
                            for si in range(tree.num_infosets)])
 
@@ -483,11 +490,6 @@ def dump_game(tree):
         nodes.append(doc)
     return {"name": tree.name, "nodes": nodes, "root": tree.root,
             "utility_scale": float(tree.utility_scale)}
-
-
-def save_game(tree, path):
-    with open(path, "w") as f:
-        json.dump(dump_game(tree), f, indent=1)
 
 
 def _is_number(v):

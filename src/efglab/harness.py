@@ -23,10 +23,10 @@ import numpy as np
 from . import solvers
 from .evaluate import (bregman_to_reference, compute_reference,
                        exploitability, perturbed_regularized_gap)
-from .game import GameError, load_game
+from .game import GameError, flatten_profile, load_game
 from .games import build_kuhn, build_leduc
 from .regularizers import ENTROPY, EUCLIDEAN
-from .solvers import (SolverParams, SolverState, average_profile,
+from .solvers import (SolverParams, SolverState, average_flat,
                       check_m_bounds, game_constants, lazy_catch_up,
                       parse_schedule)
 from .values import (FEEDBACK_KINDS, TRAJQ, infoset_reach, multiplier,
@@ -143,13 +143,13 @@ def _eval_row(tree, cfg, params, state, seed, it, t0, reference, constants):
     row = {k: None for k in CSV_FIELDS}
     row["seed"] = seed
     row["iter"] = it
-    row["expl_last"] = exploitability(tree, state.cur_views)
+    row["expl_last"] = exploitability(tree, state.cur)
     if cfg.algo in AVERAGING:
-        row["expl_avg"] = exploitability(tree, average_profile(state, tree))
-    center = state.bar_views if cfg.algo in OPTIMISTIC else state.cur_views
+        row["expl_avg"] = exploitability(tree, average_flat(state, tree))
+    center = state.bar if cfg.algo in OPTIMISTIC else state.cur
     if cfg.tau > 0.0:
         row["reg_gap"] = perturbed_regularized_gap(
-            tree, center, cfg.tau, cfg.alpha, cfg.reg, params.simplexes)
+            tree, center, cfg.tau, cfg.alpha, cfg.reg, params.gamma)
     if reference is not None:
         row["bregman_ref"] = bregman_to_reference(tree, center, reference,
                                                   cfg.alpha, cfg.reg)
@@ -164,9 +164,12 @@ def _eval_row(tree, cfg, params, state, seed, it, t0, reference, constants):
 
 
 def run_single(cfg, seed, reference=None, tree=None):
-    """One repetition. Returns a RunOutcome with one row per eval point."""
+    """One repetition. Returns a RunOutcome with one row per eval point.
+    `reference` is a per-infoset list or a flat pair array."""
     if tree is None:
         tree = resolve_game(cfg.game)
+    if reference is not None:
+        reference = flatten_profile(tree, reference)
     params = SolverParams(
         tree, feedback=cfg.feedback, family=cfg.reg, alpha=cfg.alpha,
         tau=cfg.tau, gamma=cfg.gamma, eta=cfg.eta, schedule=cfg.schedule,

@@ -8,14 +8,13 @@ a per-infoset alpha:
                shifted so psi(uniform) = 0, max log n over the simplex)
     euclidean: psi(x) = (alpha / 2) * sum_a x_a**2
 
-Tree-level (dilated) regularizers weight each infoset's local term by the
-owner's sequence-form reach; the bidilated variant additionally weights by
-chance-times-opponent reach.
+The tree-level (dilated) Bregman divergence weights each infoset's local
+divergence by the owner's sequence-form reach.
 """
 
 import numpy as np
 
-from .game import flatten_profile
+from .game import PLAYER1, PLAYER2, flatten_profile
 
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
@@ -30,7 +29,7 @@ class TruncatedSimplex:
 
     def __init__(self, gamma, nu):
         nu = np.asarray(nu, dtype=np.float64)
-        if gamma < 0.0 or gamma > 1.0 + 1e-12:
+        if not 0.0 <= gamma <= 1.0 + 1e-12:  # NaN fails too
             raise ValueError(f"gamma {gamma} outside [0, 1]")
         if np.any(nu <= 0.0) and gamma > 0.0:
             raise ValueError("nu must be strictly positive when gamma > 0")
@@ -52,12 +51,8 @@ class TruncatedSimplex:
                 and bool(np.all(x >= self.gamma * self.nu - tol)))
 
 
-def full_simplex(n):
-    return TruncatedSimplex(0.0, np.full(n, 1.0 / n))
-
-
 # ---------------------------------------------------------------------------
-# Local regularizer values, gradients, divergences
+# Local regularizer values and divergences
 
 
 def local_psi(x, alpha, family):
@@ -67,15 +62,6 @@ def local_psi(x, alpha, family):
         return alpha * (np.log(x.shape[-1]) + np.sum(x * np.log(xs), axis=-1))
     if family == EUCLIDEAN:
         return alpha * 0.5 * np.sum(x * x, axis=-1)
-    raise ValueError(f"unknown regularizer family {family!r}")
-
-
-def local_psi_grad(x, alpha, family):
-    x = np.asarray(x, dtype=np.float64)
-    if family == ENTROPY:
-        return alpha * (1.0 + np.log(np.clip(x, _TINY, None)))
-    if family == EUCLIDEAN:
-        return alpha * x
     raise ValueError(f"unknown regularizer family {family!r}")
 
 
@@ -110,52 +96,26 @@ def psi_flat(tree, flat, alpha, family):
     raise ValueError(f"unknown regularizer family {family!r}")
 
 
-def bregman_flat(tree, x, y, alpha, family):
-    """Local divergence D_psi(x_s, y_s) at every infoset, from flat pair
-    arrays."""
-    terms = bregman_local(x[:, None], y[:, None], 1.0, family)
-    return alpha * np.bincount(tree.pair_infoset, weights=terms,
-                               minlength=tree.num_infosets)
-
-
-def _player_reach(tree, flat, player):
-    """Own and opponent reach of the player's infosets."""
+def bregman_tree_flat(tree, x, y, alpha, family):
+    """Dilated-regularizer Bregman divergences D(x, y) of (player 1, player
+    2) from flat pair arrays: over each player's infosets, the sum of x's
+    sequence-form reach times the local divergence."""
     from .values import infoset_reach, reach_flat
-    own, opp = infoset_reach(tree, reach_flat(tree, flat))
-    mine = tree.infoset_owner == player
-    return mine, own[mine], opp[mine]
-
-
-def dilated_psi(tree, profile, player, alpha, family):
-    """Reach-weighted sum of local regularizers over one player's infosets."""
-    flat = flatten_profile(tree, profile)
-    mine, own, _ = _player_reach(tree, flat, player)
-    return float(np.dot(own, psi_flat(tree, flat, alpha, family)[mine]))
-
-
-def bidilated_psi(tree, profile, player, alpha, family):
-    """Dilated regularizer additionally weighted by chance-opponent reach.
-
-    Equals the sum over the player's decision nodes of the full reach
-    probability of the node times the local regularizer at its infoset.
-    """
-    flat = flatten_profile(tree, profile)
-    mine, own, opp = _player_reach(tree, flat, player)
-    return float(np.dot(own * opp,
-                        psi_flat(tree, flat, alpha, family)[mine]))
+    own, _ = infoset_reach(tree, reach_flat(tree, x))
+    terms = bregman_local(x[:, None], y[:, None], 1.0, family)
+    local = alpha * np.bincount(tree.pair_infoset, weights=terms,
+                                minlength=tree.num_infosets)
+    return tuple(float(np.dot(own[mine], local[mine]))
+                 for mine in (tree.infoset_owner == PLAYER1,
+                              tree.infoset_owner == PLAYER2))
 
 
 def bregman_tree(tree, profile, ref_profile, player, alpha, family):
-    """Dilated-regularizer Bregman divergence D(profile, ref) for one player.
-
-    Decomposed form: sum over the player's infosets of the first argument's
-    sequence-form reach times the local divergence.
-    """
-    flat = flatten_profile(tree, profile)
-    mine, own, _ = _player_reach(tree, flat, player)
-    local = bregman_flat(tree, flat, flatten_profile(tree, ref_profile),
-                         alpha, family)
-    return float(np.dot(own, local[mine]))
+    """Dilated-regularizer Bregman divergence D(profile, ref) for one player
+    (see bregman_tree_flat)."""
+    return bregman_tree_flat(tree, flatten_profile(tree, profile),
+                             flatten_profile(tree, ref_profile), alpha,
+                             family)[player - PLAYER1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ mirror descent.
 
 import numpy as np
 
-from .game import (PLAYER1, PLAYER2, exploration_distribution,
-                   gamma_lower_bound, unflatten_profile)
-from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex, floor_fit,
-                           prox_batch)
+from .game import PLAYER1, PLAYER2, gamma_lower_bound, unflatten_profile
+from .regularizers import ENTROPY, EUCLIDEAN, floor_fit, prox_batch
 from .values import (CF, QVALUE, TRAJQ, estimate_trajectory_q, feedback_flat,
                      infoset_reach, reach_flat, sample_trajectory)
 
@@ -52,7 +50,10 @@ def lr_schedule(tree, eta0, schedule="uniform"):
 
 
 class SolverParams:
-    """Configuration shared by all solver step functions."""
+    """Configuration shared by all solver step functions: alpha, gamma
+    and eta are arrays over infosets, strategies are floored at gamma * nu
+    (nu is tree.nu_flat), and groups holds per action count the infosets,
+    their pairs and their nu rows, for batched prox solves."""
 
     def __init__(self, tree, feedback=QVALUE, family=ENTROPY, alpha=1.0,
                  tau=0.0, gamma=0.0, eta=0.1, schedule="uniform",
@@ -67,26 +68,19 @@ class SolverParams:
         self.tau = float(tau)
         self.gamma = (np.full(n, float(gamma)) if np.isscalar(gamma)
                       else np.asarray(gamma, dtype=np.float64))
+        if not np.all((self.gamma >= 0.0) & (self.gamma <= 1.0 + 1e-12)):
+            raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
         self.eta = (lr_schedule(tree, eta, schedule) if np.isscalar(eta)
                     else np.asarray(eta, dtype=np.float64))
         self.explore_eps = float(explore_eps)
         self.anneal_decay = anneal_decay
         self.anneal_every = anneal_every
-        self.nu = exploration_distribution(tree)
-        self.nu_flat = tree.nu_flat
-        self.simplexes = [TruncatedSimplex(self.gamma[si], self.nu[si])
-                          for si in range(n)]
-        # Infosets grouped by action count, with row indices into the flat
-        # pair layout, for batched prox solves.
-        by_count = {}
-        for si, na in enumerate(tree.actions_per_infoset):
-            by_count.setdefault(int(na), []).append(si)
+        counts = tree.actions_per_infoset
         self.groups = []
-        for na, ids in sorted(by_count.items()):
-            idx = np.asarray(ids, dtype=np.int64)
+        for na in sorted(set(counts.tolist())):
+            idx = np.flatnonzero(counts == na)
             pairs = tree.infoset_offset[idx][:, None] + np.arange(na)
-            NU = self.nu_flat[pairs]
-            self.groups.append((idx, pairs, NU))
+            self.groups.append((idx, pairs, tree.nu_flat[pairs]))
 
     def effective_tau(self, t):
         """Regularization weight at iteration t under optional annealing."""
@@ -96,8 +90,9 @@ class SolverParams:
 
 
 class SolverState:
-    """Mutable iterate state. cur/bar are flat pair arrays; the *_views
-    lists are persistent per-infoset views into them.
+    """Mutable iterate state. cur (current strategy) and bar (optimistic
+    center) are flat pair arrays; cur_views holds persistent per-infoset
+    views into cur, for the sampler, which reads one row per node.
 
     at_fixed_point marks the infosets whose zero-feedback step at their
     frozen weight last_tau0 returned bar bit for bit, so that cur equals
@@ -114,7 +109,6 @@ class SolverState:
             self.cur[pairs] = floor_fit(EUCLIDEAN, U, params.gamma[idx], NU)
         self.bar = self.cur.copy()
         self.cur_views = unflatten_profile(tree, self.cur)
-        self.bar_views = unflatten_profile(tree, self.bar)
         self.t = 0
         self.regret = np.zeros(tree.num_pairs)
         self.strat_sum = np.zeros(tree.num_pairs)
@@ -127,9 +121,6 @@ class SolverState:
     def profile(self, tree):
         """Copy of the current strategy as a per-infoset list."""
         return [v.copy() for v in self.cur_views]
-
-    def bar_profile(self, tree):
-        return [v.copy() for v in self.bar_views]
 
 
 def local_tau0(params, tau, opp_reach, own_reach):
@@ -273,10 +264,15 @@ def cfr_plus_step(state, tree, params):
                                   * state.cur[mask])
 
 
+def average_flat(state, tree):
+    """Normalized accumulated average strategy, a new flat pair array
+    (uniform where untouched)."""
+    return _normalize_or_uniform(tree, state.strat_sum)
+
+
 def average_profile(state, tree):
-    """Normalized accumulated average strategy (uniform where untouched)."""
-    flat = _normalize_or_uniform(tree, state.strat_sum)
-    return [a.copy() for a in unflatten_profile(tree, flat)]
+    """average_flat as a per-infoset list."""
+    return unflatten_profile(tree, average_flat(state, tree))
 
 
 def os_mccfr_step(state, tree, params, rng):

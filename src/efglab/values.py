@@ -189,12 +189,6 @@ def compute_feedback(tree, profile, kind, tau=0.0, alpha=1.0, family=None):
                           unflatten_profile(tree, cf_flat))
 
 
-def opponent_reach(tree, profile):
-    """Per-infoset sum over members of chance reach times opponent reach."""
-    reach = reach_flat(tree, flatten_profile(tree, profile))
-    return infoset_reach(tree, reach)[1]
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 

@@ -8,14 +8,18 @@ from its sequence-form definition, the regularized best response by a
 memoized recursion over nodes with one `argmax_regularized` call per
 infoset, and both floor fits of `efglab.regularizers.floor_fit` by the
 sort-and-threshold rules.
+
+The helpers at the end (full simplexes, local regularizer gradients,
+opponent reach and the dilated and bidilated regularizer values) are read
+only by tests, so they live here rather than in the library.
 """
 
 import numpy as np
 
 from efglab.game import PLAYER1, flatten_profile
-from efglab.regularizers import (ENTROPY, argmax_regularized, full_simplex,
-                                 local_psi, local_psi_grad)
-from efglab.values import reach_flat
+from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
+                                 argmax_regularized, local_psi, psi_flat)
+from efglab.values import infoset_reach, reach_flat
 
 
 def reach_probabilities(tree, profile):
@@ -284,3 +288,52 @@ def entropy_floor_fit_sort(xh, gamma, NU):
     res = np.maximum(res, fl)
     out[rows] = res / res.sum(axis=1, keepdims=True)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers
+
+
+def full_simplex(n):
+    return TruncatedSimplex(0.0, np.full(n, 1.0 / n))
+
+
+def local_psi_grad(x, alpha, family):
+    x = np.asarray(x, dtype=np.float64)
+    if family == ENTROPY:
+        return alpha * (1.0 + np.log(np.clip(x, 1e-300, None)))
+    if family == EUCLIDEAN:
+        return alpha * x
+    raise ValueError(f"unknown regularizer family {family!r}")
+
+
+def opponent_reach(tree, profile):
+    """Per-infoset sum over members of chance reach times opponent reach."""
+    reach = reach_flat(tree, flatten_profile(tree, profile))
+    return infoset_reach(tree, reach)[1]
+
+
+def _player_reach(tree, flat, player):
+    """Own and opponent reach of the player's infosets."""
+    own, opp = infoset_reach(tree, reach_flat(tree, flat))
+    mine = tree.infoset_owner == player
+    return mine, own[mine], opp[mine]
+
+
+def dilated_psi(tree, profile, player, alpha, family):
+    """Reach-weighted sum of local regularizers over one player's infosets."""
+    flat = flatten_profile(tree, profile)
+    mine, own, _ = _player_reach(tree, flat, player)
+    return float(np.dot(own, psi_flat(tree, flat, alpha, family)[mine]))
+
+
+def bidilated_psi(tree, profile, player, alpha, family):
+    """Dilated regularizer additionally weighted by chance-opponent reach.
+
+    Equals the sum over the player's decision nodes of the full reach
+    probability of the node times the local regularizer at its infoset.
+    """
+    flat = flatten_profile(tree, profile)
+    mine, own, opp = _player_reach(tree, flat, player)
+    return float(np.dot(own * opp,
+                        psi_flat(tree, flat, alpha, family)[mine]))

@@ -228,7 +228,7 @@ def test_criterion_6_qfr_stochastic_best_iterate():
                 fb = compute_feedback(tree, prof, TRAJQ)
                 violations += check_m_bounds(fb.m, constants)
                 gap = perturbed_regularized_gap(tree, prof, tau, 1.0,
-                                                ENTROPY, params.simplexes)
+                                                ENTROPY, params.gamma)
                 breg = bregman_to_reference(tree, prof, reference)
                 best_gap = min(best_gap, gap)
                 best_breg = min(best_breg, breg)

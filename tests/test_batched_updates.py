@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from efglab.game import PLAYER1, unflatten_profile
-from efglab.regularizers import ENTROPY, EUCLIDEAN, prox_step
+from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
+                                 prox_step)
 from efglab.solvers import (SolverParams, SolverState, lazy_catch_up,
                             lazy_qfr_step, qfr_lazy_eager_step,
                             qfr_stochastic_step)
@@ -25,27 +26,30 @@ FAMILIES = (ENTROPY, EUCLIDEAN)
 # Oracle
 
 
-def _two_prox(state, params, si, g, tau0):
-    sx = params.simplexes[si]
-    barn = prox_step(state.bar_views[si], g, tau0, params.eta[si],
-                     params.alpha[si], params.family, sx)
+def _two_prox(tree, state, params, si, g, tau0):
+    sx = TruncatedSimplex(params.gamma[si], tree.nu[si])
+    off = tree.infoset_offset[si]
+    bar = state.bar[off:off + tree.actions_per_infoset[si]]
+    barn = prox_step(bar, g, tau0, params.eta[si], params.alpha[si],
+                     params.family, sx)
     curn = prox_step(barn, g, tau0, params.eta[si], params.alpha[si],
                      params.family, sx)
-    state.bar_views[si][:] = barn
+    bar[:] = barn
     state.cur_views[si][:] = curn
 
 
-def _zero_feedback_steps(state, params, si, count):
+def _zero_feedback_steps(tree, state, params, si, count):
     tau0 = state.last_tau0[si]
     if count <= 0 or tau0 == 0.0:
         return
     g = np.zeros(state.cur_views[si].shape[0])
     for _ in range(count):
-        _two_prox(state, params, si, g, tau0)
+        _two_prox(tree, state, params, si, g, tau0)
 
 
-def _catch_up(state, params, si, t_now):
-    _zero_feedback_steps(state, params, si, t_now - state.last_seen[si])
+def _catch_up(tree, state, params, si, t_now):
+    _zero_feedback_steps(tree, state, params, si,
+                         t_now - state.last_seen[si])
     state.last_seen[si] = t_now
 
 
@@ -71,7 +75,7 @@ def _sample_catching_up(tree, state, params, rng):
         if nd.is_chance:
             probs = nd.chance_probs
         else:
-            _catch_up(state, params, nd.infoset, state.t)
+            _catch_up(tree, state, params, nd.infoset, state.t)
             probs = state.cur_views[nd.infoset]
         a = _sample_index(rng, probs)
         nodes.append(node)
@@ -104,7 +108,7 @@ def _lazy_real_updates(state, tree, params, traj, tau):
         tau0 = tau * _own_reach_before(tree, traj, state, first[si])
         g = np.zeros(tree.actions_per_infoset[si])
         g[a] = -v
-        _two_prox(state, params, si, g, tau0)
+        _two_prox(tree, state, params, si, g, tau0)
         state.last_tau0[si] = tau0
     return est
 
@@ -117,7 +121,7 @@ def oracle_stochastic_step(state, tree, params, rng):
     for si, (a, v) in est.items():
         g = np.zeros(tree.actions_per_infoset[si])
         g[a] = -v
-        _two_prox(state, params, si, g, tau)
+        _two_prox(tree, state, params, si, g, tau)
     state.t += 1
     for si in est:
         state.last_seen[si] = state.t
@@ -139,14 +143,14 @@ def oracle_eager_step(state, tree, params, traj):
     est = _lazy_real_updates(state, tree, params, traj, tau)
     for si in range(tree.num_infosets):
         if si not in est:
-            _zero_feedback_steps(state, params, si, 1)
+            _zero_feedback_steps(tree, state, params, si, 1)
     state.t += 1
     state.last_seen[:] = state.t
 
 
 def oracle_catch_up(state, tree, params):
     for si in range(tree.num_infosets):
-        _catch_up(state, params, si, state.t)
+        _catch_up(tree, state, params, si, state.t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from efglab.evaluate import (ETA_FLOOR, STALL_CHECKS, _reg_best_response,
                              compute_reference,
                              exploitability, perturbed_regularized_gap)
 from efglab.game import (PLAYER1, PLAYER2, expected_utility,
-                         exploration_distribution, load_game,
-                         uniform_profile, unflatten_profile)
+                         exploration_distribution, flatten_profile,
+                         load_game, uniform_profile, unflatten_profile)
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  argmax_batch, argmax_regularized)
 from efglab.solvers import SolverParams, SolverState, cfr_step
-from efglab.values import CF, compute_feedback
+from efglab.values import CF, compute_feedback, reach_flat
 from oracles import reg_best_response_recursive
 
 
@@ -129,21 +129,44 @@ def test_gap_reduces_to_exploitability(kuhn, rng):
 
 
 def test_gap_nonnegative_on_feasible_profiles(kuhn, rng):
-    from efglab.regularizers import TruncatedSimplex
-    from efglab.game import exploration_distribution
     nu = exploration_distribution(kuhn)
     gamma = 0.05
-    simplexes = [TruncatedSimplex(gamma, nu[si])
-                 for si in range(kuhn.num_infosets)]
     for _ in range(10):
         prof = []
         for si in range(kuhn.num_infosets):
-            floor = simplexes[si].floor()
+            floor = gamma * nu[si]
             free = rng.dirichlet(np.ones(kuhn.actions_per_infoset[si]))
             prof.append(floor + (1.0 - floor.sum()) * free)
         gap = perturbed_regularized_gap(kuhn, prof, 0.05, 1.0, ENTROPY,
-                                        simplexes)
+                                        gamma)
         assert gap >= -1e-10
+
+
+@pytest.mark.parametrize("game", ["kuhn", "leduc"])
+def test_evaluators_take_a_list_or_its_flat_array(request, game, rng):
+    # One conversion, game.flatten_profile, serves both forms, so every
+    # evaluator returns the same float for a list and for its flat array.
+    tree = request.getfixturevalue(game)
+    reference = _profile(tree, "interior", rng)
+    ref_flat = flatten_profile(tree, reference)
+    for kind in ("interior", "pure", "interior", "pure"):
+        prof = _profile(tree, kind, rng)
+        flat = flatten_profile(tree, prof)
+        before = flat.copy()
+        assert exploitability(tree, prof) == exploitability(tree, flat)
+        for family in (ENTROPY, EUCLIDEAN):
+            for gamma in (0.0, 0.05):
+                assert (perturbed_regularized_gap(tree, prof, 1e-3, 1.0,
+                                                  family, gamma)
+                        == perturbed_regularized_gap(tree, flat, 1e-3, 1.0,
+                                                     family, gamma))
+            assert (bregman_to_reference(tree, prof, reference, 1.0, family)
+                    == bregman_to_reference(tree, flat, ref_flat, 1.0,
+                                            family))
+        # The evaluators read their flat argument without writing it.
+        assert np.array_equal(flat, before)
+    with pytest.raises(ValueError):
+        exploitability(tree, flat[:-1])
 
 
 def test_compute_reference_pennies_uniform(pennies):
@@ -202,7 +225,7 @@ def test_compute_reference_default_step_converges_fast(
     assert count_full_steps["etas"][0] == 4.0
     params = SolverParams(tree, family=family, gamma=1e-2)
     assert perturbed_regularized_gap(tree, prof, 1e-3, 1.0, family,
-                                     params.simplexes) == gap
+                                     params.gamma) == gap
 
 
 def test_compute_reference_halves_a_stalling_step(kuhn, monkeypatch):
@@ -228,9 +251,9 @@ def test_compute_reference_halves_a_stalling_step(kuhn, monkeypatch):
     assert gap <= 1e-7
     assert etas[0] == 64.0 and len(etas) >= 2
     assert all(b == a / 2 for a, b in zip(etas, etas[1:]))
-    simplexes = SolverParams(kuhn, gamma=1e-2).simplexes
+    gamma = SolverParams(kuhn, gamma=1e-2).gamma
     gaps = [perturbed_regularized_gap(kuhn, unflatten_profile(kuhn, bar),
-                                      1e-3, 1.0, ENTROPY, simplexes)
+                                      1e-3, 1.0, ENTROPY, gamma)
             for bar, _ in checks]
     assert len(restarts) == len(etas) - 1
     for n_checks, bar, cur in restarts:
@@ -375,15 +398,12 @@ def test_mixed_depth_game_shape(mixed_depth):
 
 
 def _setting(tree, name, rng):
-    """(tau, alpha, family, simplexes) of a named evaluation setting."""
+    """(tau, alpha, family, gamma) of a named evaluation setting."""
     if name == "tau0":
-        return 0.0, 1.0, ENTROPY, None
-    nu = exploration_distribution(tree)
-    simplexes = [TruncatedSimplex(0.05, nu[si])
-                 for si in range(tree.num_infosets)]
+        return 0.0, 1.0, ENTROPY, 0.0
     alpha = rng.uniform(0.5, 2.0, size=tree.num_infosets)
     family = ENTROPY if name == "entropy" else EUCLIDEAN
-    return 0.05, alpha, family, simplexes
+    return 0.05, alpha, family, 0.05
 
 
 def _profile(tree, kind, rng):
@@ -403,15 +423,20 @@ def _profile(tree, kind, rng):
 def test_best_response_matches_recursive_oracle(game, setting, kind,
                                                 request, rng):
     tree = request.getfixturevalue(game)
-    tau, alpha, family, simplexes = _setting(tree, setting, rng)
+    tau, alpha, family, gamma = _setting(tree, setting, rng)
+    # The oracle's feasible sets: full simplexes at gamma = 0, as in the
+    # exact best response.
+    simplexes = None if gamma == 0.0 else [
+        TruncatedSimplex(gamma, nu) for nu in exploration_distribution(tree)]
     mixed_rows = 0
     for _ in range(3 if game == "leduc" else 6):
         prof = _profile(tree, kind, rng)
         for player in (PLAYER1, PLAYER2):
             want_v, want_pol = reg_best_response_recursive(
                 tree, prof, player, tau, alpha, family, simplexes)
-            got_v, flat = _reg_best_response(tree, prof, player, tau, alpha,
-                                             family, simplexes)
+            flat = flatten_profile(tree, prof)
+            got_v = _reg_best_response(tree, flat, reach_flat(tree, flat),
+                                       player, tau, alpha, family, gamma)
             assert got_v == pytest.approx(want_v, rel=1e-12, abs=1e-12)
             got = unflatten_profile(tree, flat)
             for si in tree.infoset_ids(3 - player):

@@ -11,19 +11,19 @@ EXPORTS = [
     "PLAYER2", "QVALUE", "RunConfig", "RunOutcome", "ScheduleReport",
     "SolverParams", "SolverState", "TRAJQ", "Trajectory", "TruncatedSimplex",
     "argmax_regularized", "average_profile", "best_response",
-    "bidilated_psi", "bregman_local", "bregman_to_reference", "bregman_tree",
+    "bregman_local", "bregman_to_reference", "bregman_tree",
     "build_kuhn", "build_leduc", "build_matching_pennies", "cfr_plus_step",
     "cfr_step", "check_m_bounds", "compute_feedback", "compute_reference",
-    "dilated_psi", "dump_game", "estimate_trajectory_q", "expected_utility",
+    "dump_game", "estimate_trajectory_q", "expected_utility",
     "exploitability", "exploration_distribution", "flatten_profile",
-    "full_simplex", "game_constants", "gamma_lower_bound", "grid",
+    "game_constants", "gamma_lower_bound", "grid",
     "lazy_catch_up", "lazy_qfr_step", "load_game", "local_psi",
-    "local_psi_grad", "lr_schedule", "mmd_step", "opponent_reach",
+    "lr_schedule", "mmd_step",
     "os_mccfr_step", "perturbed_regularized_gap", "pga_step",
     "project_truncated_simplex", "prox_step", "qfr_full_step",
     "qfr_lazy_eager_step",
     "qfr_stochastic_step", "random_profile", "resolve_game", "run",
-    "run_single", "sample_trajectory", "save_game", "schedule_report",
+    "run_single", "sample_trajectory", "schedule_report",
     "unflatten_profile", "uniform_profile", "validate_perfect_recall",
     "validate_profile", "write_csv",
 ]

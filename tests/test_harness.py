@@ -10,7 +10,7 @@ import pytest
 
 from efglab import cli, harness
 from efglab.cli import main as cli_main
-from efglab.game import dump_game
+from efglab.game import dump_game, uniform_profile
 from efglab.games import build_matching_pennies
 from efglab.harness import (CSV_FIELDS, PAPER_GRID, RUN_FIELDS, RunConfig,
                             grid, resolve_game, run, run_single)
@@ -114,6 +114,32 @@ def test_leduc_run_tracks_bregman_to_reference(tmp_path):
     bregs = [float(r[5]) for r in rows[1:]]
     assert len(bregs) == 4
     assert all(np.isfinite(b) and b > 0.0 for b in bregs)
+
+
+def test_evaluation_rows_convert_no_per_infoset_list(kuhn, monkeypatch):
+    # The harness hands the evaluators flat pair arrays; only a reference
+    # given as a list is converted, once per run.
+    from efglab import evaluate, game, regularizers, values
+    conversions = []
+    flatten = game.flatten_profile
+
+    def counted(tree, profile):
+        if not isinstance(profile, np.ndarray):
+            conversions.append(len(profile))
+        return flatten(tree, profile)
+
+    for mod in (game, values, regularizers, evaluate, harness):
+        monkeypatch.setattr(mod, "flatten_profile", counted)
+    reference = uniform_profile(kuhn)
+    for algo, feedback in (("qfr", "q"), ("qfr-stoch", "tq"),
+                           ("qfr-lazy", "tq"), ("cfrplus", "q")):
+        cfg = RunConfig(game="kuhn", algo=algo, feedback=feedback, tau=1e-3,
+                        gamma=1e-2, eta=1e-2, iters=20, eval_every=5)
+        conversions.clear()
+        out = run_single(cfg, 0, reference, kuhn)
+        assert len(out.rows) == 4
+        assert all(r["bregman_ref"] is not None for r in out.rows)
+        assert conversions == [kuhn.num_infosets]
 
 
 def test_stochastic_algo_requires_tq():
@@ -625,10 +651,15 @@ def test_cli_bestresp_missing_game_file(tmp_path, capsys):
         capsys, cli_main(["bestresp", "--game", str(missing)]))
 
 
-@pytest.mark.parametrize("doc", [5, [[{}, 0.5]]])
+@pytest.mark.parametrize("doc", [
+    5, [[{}, 0.5]],
+    # JSON booleans and numeric strings, which load_game rejects too.
+    [[True, False]] + [[0.5, 0.5]] * 11,
+    [["0.5", "0.5"]] + [[0.5, 0.5]] * 11])
 def test_cli_bestresp_rejects_a_profile_that_is_not_lists_of_numbers(
         tmp_path, capsys, doc):
     p = tmp_path / "prof.json"
     p.write_text(json.dumps(doc))
-    _assert_one_error_line(capsys,
-                           cli_main(["bestresp", "--profile", str(p)]))
+    line = _assert_one_error_line(capsys,
+                                  cli_main(["bestresp", "--profile", str(p)]))
+    assert line.startswith(f"error: {p}: ")

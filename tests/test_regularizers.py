@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from efglab.game import PLAYER1, PLAYER2, random_profile, uniform_profile
 from efglab.games import build_kuhn, build_matching_pennies
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
-                                 argmax_regularized, bidilated_psi,
-                                 bregman_local, bregman_tree, dilated_psi,
-                                 floor_fit, full_simplex, local_psi,
-                                 local_psi_grad, project_truncated_simplex,
-                                 prox_step)
-from oracles import (bregman_tree_direct, entropy_floor_fit_sort,
+                                 argmax_regularized, bregman_local,
+                                 bregman_tree, floor_fit, local_psi,
+                                 project_truncated_simplex, prox_step)
+from oracles import (bidilated_psi, bregman_tree_direct, dilated_psi,
+                     entropy_floor_fit_sort, full_simplex, local_psi_grad,
                      project_floored_sort, reach_probabilities)
 
 
@@ -33,6 +32,12 @@ def _feasible_samples(rng, simplex, count):
     n = simplex.num_actions
     free = 1.0 - simplex.gamma * simplex.nu.sum()
     return simplex.floor() + free * rng.dirichlet(np.ones(n), size=count)
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 1.5, float("nan")])
+def test_truncated_simplex_rejects_gamma_outside_the_unit_interval(gamma):
+    with pytest.raises(ValueError):
+        TruncatedSimplex(gamma, np.full(3, 1.0 / 3.0))
 
 
 def _prox_objective(x, x0, g, tau0, eta, alpha, family):

@@ -6,7 +6,7 @@ import pytest
 from efglab import harness, solvers
 from efglab.evaluate import exploitability
 from efglab.game import PLAYER1, PLAYER2, load_game, uniform_profile
-from efglab.regularizers import ENTROPY, EUCLIDEAN
+from efglab.regularizers import ENTROPY, EUCLIDEAN, TruncatedSimplex
 from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             average_profile, cfr_plus_step, cfr_step,
                             check_m_bounds, game_constants, lazy_catch_up,
@@ -62,14 +62,24 @@ def test_qfr_vanishing_step_is_identity(kuhn):
     assert np.allclose(state.cur, before, atol=1e-9)
 
 
+@pytest.mark.parametrize("gamma", [-0.1, 1.5, float("nan")])
+def test_solver_params_rejects_gamma_outside_the_unit_interval(kuhn, gamma):
+    with pytest.raises(ValueError):
+        SolverParams(kuhn, gamma=gamma)
+    per_infoset = np.full(kuhn.num_infosets, 0.5)
+    per_infoset[3] = gamma
+    with pytest.raises(ValueError):
+        SolverParams(kuhn, gamma=per_infoset)
+
+
 def test_qfr_gamma_one_pins_nu(kuhn):
     params = SolverParams(kuhn, feedback=QVALUE, family=ENTROPY, tau=0.01,
                           gamma=1.0, eta=0.1)
     state = SolverState(kuhn, params)
     for _ in range(5):
         qfr_full_step(state, kuhn, params)
-    assert np.allclose(state.cur, params.nu_flat, atol=1e-9)
-    assert np.allclose(state.bar, params.nu_flat, atol=1e-9)
+    assert np.allclose(state.cur, kuhn.nu_flat, atol=1e-9)
+    assert np.allclose(state.bar, kuhn.nu_flat, atol=1e-9)
 
 
 def test_qfr_optimism_wiring_hand_instance():
@@ -354,7 +364,8 @@ def test_pga_iterates_stay_in_the_truncated_simplexes_at_huge_steps(kuhn,
     for _ in range(5):
         pga_step(state, kuhn, params)
         for si, x in enumerate(state.cur_views):
-            assert params.simplexes[si].contains(x, tol=1e-12)
+            sx = TruncatedSimplex(params.gamma[si], kuhn.nu[si])
+            assert sx.contains(x, tol=1e-12)
 
 
 def test_pga_depth_schedule_average_converges(kuhn):

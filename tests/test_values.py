@@ -8,8 +8,8 @@ from efglab.game import (PLAYER1, PLAYER2, dump_game, flatten_profile,
 from efglab.regularizers import ENTROPY, local_psi
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            estimate_trajectory_q, infoset_reach, multiplier,
-                           opponent_reach, reach_flat, sample_trajectory)
-from oracles import reach_probabilities, to_sequence_form
+                           reach_flat, sample_trajectory)
+from oracles import opponent_reach, reach_probabilities, to_sequence_form
 
 
 # ---------------------------------------------------------------------------
