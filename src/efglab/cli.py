@@ -8,8 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .evaluate import best_response, exploitability
-from .game import (GameError, _is_number, gamma_lower_bound,
-                   uniform_profile, validate_profile)
+from .game import GameError, _is_number, uniform_profile, validate_profile
 from .harness import (ALGOS, CSV_FIELDS, REGS, RunConfig, grid, resolve_game,
                       run)
 from .solvers import game_constants, lr_schedule, schedule_report
@@ -124,8 +123,7 @@ def _constants(horizon, delta, **fields):
         "game": tree.name,
         "num_infosets": tree.num_infosets,
         "gamma_seq": c.gamma_seq,
-        "gamma_seq_bound": (gamma_lower_bound(tree, cfg.gamma)
-                            if cfg.gamma > 0 else 0.0),
+        "gamma_seq_bound": c.gamma_seq,
         "m1": c.m1, "m2": c.m2,
         "q_bound": c.q_bound, "q_bound_sampled": c.q_bound_sampled,
         "psi_max": c.psi_max, "psi_max_paper": c.psi_max_paper,

@@ -30,26 +30,24 @@ def _reg_best_response(tree, flat, reach, player, tau=0.0, alpha=1.0,
     With tau = 0 and gamma = 0 it is the exact best response (ties broken
     toward the lowest action index)."""
     n_sets = tree.num_infosets
-    counts = tree.actions_per_infoset
     alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (n_sets,))
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (n_sets,))
-    own_depth = tree.own_depth
-    mine = tree.infoset_owner == player
+    # The responder's own depth at each infoset, 0 at the opponent's.
+    depth = np.where(tree.infoset_owner == player, tree.own_depth, 0)
 
     # One reach sweep serves every depth: the responder's choices change
     # only the responder's own reach, and neither the responder's
     # counterfactual values nor its opponent reach read it.
     opp_reach = infoset_reach(tree, reach)[1]
-    for d in range(max(own_depth[mine], default=0), 0, -1):
+    for d in range(depth.max(), 0, -1):
         cf = counterfactual_values(
             tree, reach, value_to_go(tree, flat, tau, alpha, family))
-        at_d = mine & (own_depth == d)
-        for n in set(counts[at_d].tolist()):
-            ids = np.flatnonzero(at_d & (counts == n))
-            pairs = tree.infoset_offset[ids][:, None] + np.arange(n)
-            flat[pairs] = argmax_batch(family, cf[pairs], tau * opp_reach[ids],
-                                       alpha[ids], gamma[ids],
-                                       tree.nu_flat[pairs])
+        for idx, pairs, NU in tree.row_groups:
+            sel = depth[idx] == d
+            if sel.any():
+                ids, P = idx[sel], pairs[sel]
+                flat[P] = argmax_batch(family, cf[P], tau * opp_reach[ids],
+                                       alpha[ids], gamma[ids], NU[sel])
     root = value_to_go(tree, flat, tau, alpha, family)[tree.root]
     return float(root if player == PLAYER1 else -root)
 
@@ -123,7 +121,8 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
     `perturbed_regularized_gap` of the returned center profile and is
     <= tol. The gap is checked every `check_every` steps (and at step
     `max_iters`); raises RuntimeError if the budget of `max_iters` steps is
-    exhausted first.
+    exhausted first, and ValueError before the first step if a rate breaks
+    its rule in solvers.RATE_RULES.
 
     `eta` is the first step size. On the regularized game a larger step
     converges faster, up to a size at which the gap stalls above tol, so
@@ -135,8 +134,6 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
     min(eta, ETA_FLOOR); once there it stays fixed and the solver no longer
     restarts, so an `eta` at or below ETA_FLOOR runs at that fixed step.
     """
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be finite and positive, got {eta}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if check_every < 1:

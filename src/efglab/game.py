@@ -108,16 +108,12 @@ class GameTree:
         return len(self.infosets)
 
     def infoset_ids(self, player):
-        return self._player_infosets[player]
+        return np.flatnonzero(self.infoset_owner == player).tolist()
 
     def _finalize(self):
         """Validate structure and build traversal caches."""
         _validate_structure(self)
         _check_perfect_recall(self)
-
-        self._player_infosets = {
-            p: [i for i, s in enumerate(self.infosets) if s.owner == p]
-            for p in (PLAYER1, PLAYER2)}
 
         # Flat edge arrays grouped by parent depth (descending order is a
         # backward value sweep; ascending is a forward reach sweep). Chance
@@ -212,15 +208,26 @@ class GameTree:
         self.nu = tuple(nu_flat[o:o + n] for o, n in
                         zip(self.infoset_offset, self.actions_per_infoset))
 
+        # Row groups for batched prox and argmax solves, read-only like the
+        # depths: per action count, the infosets, their pairs and nu rows.
+        groups = []
+        for na in sorted(set(self.actions_per_infoset.tolist())):
+            idx = np.flatnonzero(self.actions_per_infoset == na)
+            pairs = self.infoset_offset[idx][:, None] + np.arange(na)
+            groups.append((idx, pairs, nu_flat[pairs]))
+        self.row_groups = tuple(groups)
+        self.infoset_depth = np.asarray([s.depth for s in self.infosets],
+                                        dtype=np.int64)
+        for a in (self.infoset_depth, *(a for g in groups for a in g)):
+            a.flags.writeable = False
+
 
 def _validate_structure(tree):
     nodes = tree.nodes
     if not nodes:
         raise GameValidationError("game has no nodes")
-    seen_terminal = False
     for i, n in enumerate(nodes):
         if n.is_terminal:
-            seen_terminal = True
             if n.utility is None:
                 raise GameValidationError(f"terminal node {i} missing utility")
             if not -1.0 - 1e-12 <= n.utility <= 1.0 + 1e-12:
@@ -257,7 +264,7 @@ def _validate_structure(tree):
             if s.actions != n.actions:
                 raise GameValidationError(
                     f"node {i}: infoset {n.infoset} action labels differ")
-    if not seen_terminal:
+    if not any(n.is_terminal for n in nodes):
         raise GameValidationError("game has no terminal nodes")
     if not any(n.owner in (PLAYER1, PLAYER2) for n in nodes):
         raise GameValidationError("game has no decision nodes")
@@ -378,14 +385,25 @@ def random_profile(tree, rng, min_prob=0.0):
 def flatten_profile(tree, profile):
     """A new flat float64 pair array from a per-infoset list of
     distributions or from a flat pair array (a 1-D array over the tree's
-    pairs). Every exported evaluator accepts either form through here."""
+    pairs). Every exported evaluator accepts either form through here; a
+    list that does not have one row of each infoset's action count raises
+    ValueError naming the first bad row."""
     if isinstance(profile, np.ndarray) and profile.ndim == 1:
         if profile.shape != (tree.num_pairs,):
             raise ValueError(f"flat profile of {profile.shape[0]} entries "
                              f"for {tree.num_pairs} pairs")
         return profile.astype(np.float64)
-    return np.concatenate([np.asarray(profile[si], dtype=np.float64)
-                           for si in range(tree.num_infosets)])
+    rows = [np.asarray(x, dtype=np.float64) for x in profile]
+    n = tree.num_infosets
+    for si, x in enumerate(rows[:n]):
+        if x.shape != (tree.actions_per_infoset[si],):
+            raise ValueError(f"profile[{si}]: wrong shape {x.shape} for "
+                             f"{tree.actions_per_infoset[si]} actions")
+    if len(rows) != n:
+        raise ValueError(f"profile[{min(len(rows), n)}]: "
+                         f"{'extra row' if len(rows) > n else 'missing'}, "
+                         f"the game has {n} infosets")
+    return np.concatenate(rows)
 
 
 def unflatten_profile(tree, flat):
@@ -395,12 +413,10 @@ def unflatten_profile(tree, flat):
 
 
 def validate_profile(tree, profile, atol=1e-9):
-    if len(profile) != tree.num_infosets:
-        raise ValueError("profile length does not match infoset count")
-    for si, s in enumerate(tree.infosets):
-        x = np.asarray(profile[si])
-        if x.shape != (s.num_actions,):
-            raise ValueError(f"profile[{si}]: wrong shape")
+    """Raise ValueError unless `profile` (in a form flatten_profile takes)
+    holds a finite distribution at every infoset."""
+    flat = flatten_profile(tree, profile)
+    for si, x in enumerate(unflatten_profile(tree, flat)):
         if not np.all(np.isfinite(x)):
             raise ValueError(f"profile[{si}]: non-finite entries")
         if np.any(x < -atol) or abs(x.sum() - 1.0) > atol:

@@ -10,7 +10,6 @@ when the algorithm maintains one.
 
 import csv
 import json
-import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,9 +25,9 @@ from .evaluate import (bregman_to_reference, compute_reference,
 from .game import GameError, flatten_profile, load_game
 from .games import build_kuhn, build_leduc
 from .regularizers import ENTROPY, EUCLIDEAN
-from .solvers import (SolverParams, SolverState, average_flat,
-                      check_m_bounds, game_constants, lazy_catch_up,
-                      parse_schedule)
+from .solvers import (RATE_RULES, SolverParams, SolverState, average_flat,
+                      check_m_bounds, check_rate, game_constants,
+                      lazy_catch_up, parse_schedule)
 from .values import (FEEDBACK_KINDS, TRAJQ, infoset_reach, multiplier,
                      reach_flat)
 
@@ -47,13 +46,6 @@ PAPER_GRID = {
     "tau": [0.1, 0.01, 0.001, 0.0001, 0.0],
     "gamma": [0.1, 0.01, 0.001, 0.0001],
 }
-
-_RATE_RULES = {
-    "positive": lambda v: 0.0 < v < math.inf,
-    "non-negative": lambda v: 0.0 <= v < math.inf,
-    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
-}
-
 
 @dataclass
 class RunConfig:
@@ -98,17 +90,11 @@ class RunConfig:
                     or v < least):
                 raise ValueError(
                     f"{name} must be an integer >= {least}, got {v!r}")
-        for name, rule in (("eta", "positive"), ("alpha", "positive"),
-                           ("tau", "non-negative"), ("gamma", "in [0, 1]"),
-                           ("explore_eps", "in [0, 1]"),
-                           ("anneal_decay", "in [0, 1]")):
+        for name in RATE_RULES:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {v!r}")
-            # Every comparison with NaN is false, so NaN fails each rule.
-            if not _RATE_RULES[rule](v):
-                raise ValueError(
-                    f"{name} must be finite and {rule}, got {v!r}")
+            check_rate(name, v)
         parse_schedule(self.schedule)
         if self.algo in SAMPLED and self.feedback != TRAJQ:
             raise ValueError(f"{self.algo} samples trajectory-q estimates; "

@@ -9,6 +9,9 @@ regret-matching CFR, CFR+, outcome-sampling MCCFR, and non-optimistic
 mirror descent.
 """
 
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import numpy as np
 
 from .game import PLAYER1, PLAYER2, gamma_lower_bound, unflatten_profile
@@ -45,15 +48,31 @@ def lr_schedule(tree, eta0, schedule="uniform"):
     ratio = parse_schedule(schedule)
     if ratio is None:
         return np.full(tree.num_infosets, float(eta0))
-    depths = np.asarray([s.depth for s in tree.infosets], dtype=float)
-    return eta0 / ratio ** depths
+    return eta0 / ratio ** tree.infoset_depth.astype(float)
+
+
+# Every rate's rule, shared by SolverParams and harness.RunConfig (which
+# checks them in this order). Every comparison with NaN is false, so NaN
+# fails each rule.
+_POSITIVE = ("positive", lambda v: (0.0 < v) & (v < np.inf))
+_UNIT = ("in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))
+RATE_RULES = {"eta": _POSITIVE, "alpha": _POSITIVE,
+              "tau": ("non-negative", lambda v: (0.0 <= v) & (v < np.inf)),
+              "gamma": _UNIT, "explore_eps": _UNIT, "anneal_decay": _UNIT}
+
+
+def check_rate(name, value):
+    """Raise ValueError if rate `name` (number or array) breaks its rule."""
+    rule, holds = RATE_RULES[name]
+    if not np.all(holds(np.asarray(value, dtype=np.float64))):
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
 
 
 class SolverParams:
     """Configuration shared by all solver step functions: alpha, gamma
     and eta are arrays over infosets, strategies are floored at gamma * nu
-    (nu is tree.nu_flat), and groups holds per action count the infosets,
-    their pairs and their nu rows, for batched prox solves."""
+    (nu is tree.nu_flat), and groups is the tree's row_groups, for batched
+    prox solves. A rate outside its rule in RATE_RULES raises ValueError."""
 
     def __init__(self, tree, feedback=QVALUE, family=ENTROPY, alpha=1.0,
                  tau=0.0, gamma=0.0, eta=0.1, schedule="uniform",
@@ -61,6 +80,10 @@ class SolverParams:
         n = tree.num_infosets
         if feedback not in (CF, QVALUE, TRAJQ):
             raise ValueError(f"unknown feedback kind {feedback!r}")
+        for name, value in (("eta", eta), ("alpha", alpha), ("tau", tau),
+                            ("gamma", gamma), ("explore_eps", explore_eps),
+                            ("anneal_decay", anneal_decay)):
+            check_rate(name, value)
         self.feedback = feedback
         self.family = family
         self.alpha = (np.full(n, float(alpha)) if np.isscalar(alpha)
@@ -68,19 +91,12 @@ class SolverParams:
         self.tau = float(tau)
         self.gamma = (np.full(n, float(gamma)) if np.isscalar(gamma)
                       else np.asarray(gamma, dtype=np.float64))
-        if not np.all((self.gamma >= 0.0) & (self.gamma <= 1.0 + 1e-12)):
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
         self.eta = (lr_schedule(tree, eta, schedule) if np.isscalar(eta)
                     else np.asarray(eta, dtype=np.float64))
         self.explore_eps = float(explore_eps)
         self.anneal_decay = anneal_decay
         self.anneal_every = anneal_every
-        counts = tree.actions_per_infoset
-        self.groups = []
-        for na in sorted(set(counts.tolist())):
-            idx = np.flatnonzero(counts == na)
-            pairs = tree.infoset_offset[idx][:, None] + np.arange(na)
-            self.groups.append((idx, pairs, tree.nu_flat[pairs]))
+        self.groups = tree.row_groups
 
     def effective_tau(self, t):
         """Regularization weight at iteration t under optional annealing."""
@@ -489,21 +505,13 @@ def lazy_catch_up(state, tree, params):
 # Constants and step-size conformance
 
 
-class GameConstants:
+class GameConstants(SimpleNamespace):
     """Bound constants for a (game, feedback, regularizer) configuration.
 
     All entries are non-negative; for counterfactual feedback the
     m-stability constants degenerate to 0 (m is identically 1) and the
     derived step-size caps are +inf.
     """
-
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
-
-    def __repr__(self):
-        keys = sorted(self.__dict__)
-        inner = ", ".join(f"{k}={self.__dict__[k]!r}" for k in keys)
-        return f"GameConstants({inner})"
 
 
 def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
@@ -525,22 +533,17 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
         gamma_seq = gamma_lower_bound(tree, gamma0) if gamma0 > 0.0 else 0.0
     na = tree.actions_per_infoset
     # Chance mass per infoset: opponent reach under the all-ones profile.
-    _, chance_mass = infoset_reach(
-        tree, reach_flat(tree, np.ones(tree.num_pairs)))
+    chance_mass = np.bincount(tree.member_infoset, minlength=n,
+                              weights=tree.chance_reach[tree.member_node])
     min_chance = float(chance_mass.min())
 
-    if kind == CF:
-        m1, m2 = 1.0, 1.0
-    elif kind == TRAJQ:
-        m1 = 1.0
-        m2 = 1.0 / gamma_seq if gamma_seq > 0.0 else np.inf
-    elif kind == QVALUE:
-        m1 = gamma_seq * min_chance
-        m2 = 1.0
-    else:
+    if kind not in (CF, QVALUE, TRAJQ):
         raise ValueError(f"unknown feedback kind {kind!r}")
+    m1 = gamma_seq * min_chance if kind == QVALUE else 1.0
+    m2 = ((1.0 / gamma_seq if gamma_seq > 0.0 else np.inf) if kind == TRAJQ
+          else 1.0)
 
-    depth = max(s.depth for s in tree.infosets)
+    depth = int(tree.infoset_depth.max())
     if family == ENTROPY:
         psi_max = float(np.max(np.log(na)))
         psi_max_paper = psi_max
@@ -607,21 +610,21 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
         psi_max=psi_max, psi_max_paper=psi_max_paper, c_diff=c_diff,
         c_minus=c_minus, c_slash=c_slash, c_eta=c_eta, c_eta_T=c_eta_T,
         c_visit=c_visit, gamma_seq=gamma_seq, min_chance_mass=min_chance,
-        depth=depth, kind=kind, family=family, tau=tau, gamma0=gamma0)
+        depth=depth, kind=kind, family=family, tau=tau, gamma0=gamma0,
+        log1g=log1g, tau_term=tau_term)
 
 
+@dataclass
 class ScheduleReport:
     """Conformance of a per-infoset step-size schedule against the
     ancestor-sum, ancestor-magnitude, and local-magnitude conditions."""
 
-    def __init__(self, cond_a_ok, cond_b_ok, cond_c_ok, violations_a,
-                 violations_b, violations_c):
-        self.cond_a_ok = cond_a_ok
-        self.cond_b_ok = cond_b_ok
-        self.cond_c_ok = cond_c_ok
-        self.violations_a = violations_a
-        self.violations_b = violations_b
-        self.violations_c = violations_c
+    cond_a_ok: bool
+    cond_b_ok: bool
+    cond_c_ok: bool
+    violations_a: list
+    violations_b: list
+    violations_c: list
 
     @property
     def all_ok(self):
@@ -631,49 +634,55 @@ class ScheduleReport:
 def schedule_report(tree, eta, constants, alpha=1.0, tol=1e-12):
     """Check the three step-size conditions for a schedule.
 
-    (A) at every infoset the largest sum of step sizes along any member's
-        own-action ancestry (either player) is at most the local step size;
-    (B) 6 * (largest ancestor step size) * max_s(2 q_bound / alpha_s +
-        (tau / M1) log(1/gamma)) <= 1;
+    (A) at every infoset the sum of the owner's step sizes along its own
+        sequence (the owner's infosets above it) is at most the local step
+        size;
+    (B) 6 * (largest step size of a decision ancestor of any member, or 0)
+        * max_s(2 q_bound / alpha_s + (tau / M1) log(1/gamma)) <= 1;
     (C) eta_s * (2 q_bound + tau alpha_s / M1 * log(1/gamma)) <= 1.
+
+    Each violation list holds (infoset, value) in ascending infoset order.
     """
     n = tree.num_infosets
     eta = np.asarray(eta, dtype=np.float64)
     alpha = (np.full(n, float(alpha)) if np.isscalar(alpha)
              else np.asarray(alpha, dtype=np.float64))
-    nn = tree.num_nodes
-    cum = {1: np.zeros(nn), 2: np.zeros(nn)}
-    anc = np.zeros(nn)
-    for i, nd in enumerate(tree.nodes):
-        for a, c in enumerate(nd.children):
-            for p in (1, 2):
-                cum[p][c] = cum[p][i] + (eta[nd.infoset]
-                                         if nd.owner == p else 0.0)
-            anc[c] = max(anc[i], eta[nd.infoset]
-                         if not nd.is_chance and not nd.is_terminal else 0.0)
+    c = constants
 
-    gs = constants.gamma_seq
-    log1g = np.log(1.0 / gs) if gs > 0.0 else np.inf
-    tau_term = (0.0 if constants.tau == 0.0
-                else (constants.tau / constants.m1) * log1g
-                if constants.m1 > 0.0 else np.inf)
-    k_ent = 2.0 * constants.q_bound / alpha + tau_term
-    max_k = float(np.max(k_ent))
+    # (A): the owner's step sizes summed along each sequence, root first,
+    # read at each infoset's parent sequence (-1, the last entry, is the
+    # empty sequence).
+    seq_sum = np.zeros(tree.num_pairs + 1)
+    for pairs, parents in tree.seq_levels:
+        seq_sum[pairs] = seq_sum[parents] + eta[tree.pair_infoset[pairs]]
+    a_val = seq_sum[tree.node_seq[tree.infoset_owner - PLAYER1,
+                                  tree.first_member]]
 
-    va, vb, vc = [], [], []
-    for si, s in enumerate(tree.infosets):
-        a_val = max(cum[s.owner][h] for h in s.members)
-        if a_val > eta[si] + tol:
-            va.append((si, a_val))
-        eta_anc = max(anc[h] for h in s.members)
-        if 6.0 * eta_anc * max_k > 1.0 + tol:
-            vb.append((si, 6.0 * eta_anc * max_k))
-        local = eta[si] * (2.0 * constants.q_bound
-                           + (constants.tau * alpha[si] / constants.m1
-                              * log1g if constants.tau > 0.0
-                              and constants.m1 > 0.0 else 0.0))
-        if local > 1.0 + tol:
-            vc.append((si, local))
+    # (B): the largest decision-ancestor step size at every node, swept
+    # down the edges (a chance edge adds 0), then at every infoset.
+    edge_eta = np.zeros(tree.edge_child.shape[0])
+    edge_eta[tree.dec_edge] = eta[tree.pair_infoset[tree.dec_pair]]
+    anc = np.zeros(tree.num_nodes)
+    for lo, hi in tree.edge_level_slices:
+        anc[tree.edge_child[lo:hi]] = np.maximum(
+            anc[tree.edge_parent[lo:hi]], edge_eta[lo:hi])
+    eta_anc = np.zeros(n)
+    np.maximum.at(eta_anc, tree.member_infoset, anc[tree.member_node])
+    max_k = float(np.max(2.0 * c.q_bound / alpha + c.tau_term))
+    # An infoset without decision ancestors has eta_anc = 0, and 0 times
+    # an infinite bound is NaN, which violates nothing.
+    with np.errstate(invalid="ignore"):
+        b_val = 6.0 * eta_anc * max_k
+
+    # (C)
+    pull = (c.tau * alpha / c.m1 * c.log1g if c.tau > 0.0 and c.m1 > 0.0
+            else 0.0)
+    c_val = eta * (2.0 * c.q_bound + pull)
+
+    va, vb, vc = ([(int(si), val[si]) for si in np.flatnonzero(bad)]
+                  for val, bad in ((a_val, a_val > eta + tol),
+                                   (b_val, b_val > 1.0 + tol),
+                                   (c_val, c_val > 1.0 + tol)))
     return ScheduleReport(not va, not vb, not vc, va, vb, vc)
 
 

@@ -17,6 +17,8 @@ The heavy lifting operates on flat "pair" arrays indexed by (infoset,
 action) in the tree's canonical order; see game.flatten_profile.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .game import PLAYER1, flatten_profile, unflatten_profile
@@ -29,19 +31,17 @@ TRAJQ = "tq"
 FEEDBACK_KINDS = (CF, QVALUE, TRAJQ)
 
 
+@dataclass(slots=True, eq=False)
 class FeedbackBundle:
     """Per-infoset values q, multipliers m, and reach weights."""
 
-    __slots__ = ("kind", "tau", "q", "m", "own_reach", "opp_reach", "cf")
-
-    def __init__(self, kind, tau, q, m, own_reach, opp_reach, cf):
-        self.kind = kind
-        self.tau = tau
-        self.q = q
-        self.m = m
-        self.own_reach = own_reach
-        self.opp_reach = opp_reach
-        self.cf = cf
+    kind: str
+    tau: float
+    q: list
+    m: np.ndarray
+    own_reach: np.ndarray
+    opp_reach: np.ndarray
+    cf: list
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +97,12 @@ def multiplier(kind, own_reach, opp_reach):
     opp_reach for q, 1 / own_reach for tq."""
     if kind == CF:
         return np.ones(own_reach.shape[0])
-    if kind == QVALUE:
-        if np.any(opp_reach <= 0.0):
-            bad = int(np.argmin(opp_reach))
-            raise ValueError(
-                f"q-value feedback undefined: infoset {bad} has zero "
-                f"opponent reach")
-        return opp_reach.copy()
-    if np.any(own_reach <= 0.0):
-        bad = int(np.argmin(own_reach))
-        raise ValueError(
-            f"trajectory-q feedback undefined: infoset {bad} has zero "
-            f"own reach")
-    return 1.0 / own_reach
+    reach, name, side = ((opp_reach, "q-value", "opponent") if kind == QVALUE
+                         else (own_reach, "trajectory-q", "own"))
+    if np.any(reach <= 0.0):
+        raise ValueError(f"{name} feedback undefined: infoset "
+                         f"{int(np.argmin(reach))} has zero {side} reach")
+    return reach.copy() if kind == QVALUE else 1.0 / reach
 
 
 def value_to_go(tree, flat, tau, alpha, family):
@@ -193,6 +186,7 @@ def compute_feedback(tree, profile, kind, tau=0.0, alpha=1.0, family=None):
 # Sampling
 
 
+@dataclass(slots=True, eq=False)
 class Trajectory:
     """One root-to-terminal sample path.
 
@@ -201,14 +195,11 @@ class Trajectory:
     probability true_probs[k]. utility is player 1's terminal payoff.
     """
 
-    __slots__ = ("nodes", "actions", "sample_probs", "true_probs", "utility")
-
-    def __init__(self, nodes, actions, sample_probs, true_probs, utility):
-        self.nodes = nodes
-        self.actions = actions
-        self.sample_probs = sample_probs
-        self.true_probs = true_probs
-        self.utility = utility
+    nodes: list
+    actions: list
+    sample_probs: list
+    true_probs: list
+    utility: float
 
     @property
     def num_steps(self):

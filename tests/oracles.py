@@ -6,8 +6,9 @@ sequence-form realization plans by recursion over parent sequences,
 expected utility by backward traversal, the dilated Bregman divergence
 from its sequence-form definition, the regularized best response by a
 memoized recursion over nodes with one `argmax_regularized` call per
-infoset, and both floor fits of `efglab.regularizers.floor_fit` by the
-sort-and-threshold rules.
+infoset, both floor fits of `efglab.regularizers.floor_fit` by the
+sort-and-threshold rules, and the step-size conditions of
+`efglab.solvers.schedule_report` by a walk over the nodes.
 
 The helpers at the end (full simplexes, local regularizer gradients,
 opponent reach and the dilated and bidilated regularizer values) are read
@@ -288,6 +289,51 @@ def entropy_floor_fit_sort(xh, gamma, NU):
     res = np.maximum(res, fl)
     out[rows] = res / res.sum(axis=1, keepdims=True)
     return out
+
+
+def schedule_report_walk(tree, eta, constants, alpha=1.0, tol=1e-12):
+    """The violation lists (A, B, C) of `efglab.solvers.schedule_report`,
+    by one parent-before-child pass over the nodes and one loop over the
+    infosets, with log(1/gamma) and the tau term derived here."""
+    n = tree.num_infosets
+    eta = np.asarray(eta, dtype=np.float64)
+    alpha = _alpha_arr(tree, alpha)
+    nn = tree.num_nodes
+    cum = {1: np.zeros(nn), 2: np.zeros(nn)}
+    anc = np.zeros(nn)
+    for i, nd in enumerate(tree.nodes):
+        for a, c in enumerate(nd.children):
+            for p in (1, 2):
+                cum[p][c] = cum[p][i] + (eta[nd.infoset]
+                                         if nd.owner == p else 0.0)
+            anc[c] = max(anc[i], eta[nd.infoset]
+                         if not nd.is_chance and not nd.is_terminal else 0.0)
+
+    gs = constants.gamma_seq
+    log1g = np.log(1.0 / gs) if gs > 0.0 else np.inf
+    tau_term = (0.0 if constants.tau == 0.0
+                else (constants.tau / constants.m1) * log1g
+                if constants.m1 > 0.0 else np.inf)
+    k_ent = 2.0 * constants.q_bound / alpha + tau_term
+    max_k = float(np.max(k_ent))
+
+    va, vb, vc = [], [], []
+    for si, s in enumerate(tree.infosets):
+        a_val = max(cum[s.owner][h] for h in s.members)
+        if a_val > eta[si] + tol:
+            va.append((si, a_val))
+        eta_anc = max(anc[h] for h in s.members)
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            b_val = 6.0 * eta_anc * max_k
+        if b_val > 1.0 + tol:
+            vb.append((si, b_val))
+        local = eta[si] * (2.0 * constants.q_bound
+                           + (constants.tau * alpha[si] / constants.m1
+                              * log1g if constants.tau > 0.0
+                              and constants.m1 > 0.0 else 0.0))
+        if local > 1.0 + tol:
+            vc.append((si, local))
+    return va, vb, vc
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,37 @@ def test_evaluators_take_a_list_or_its_flat_array(request, game, rng):
         exploitability(tree, flat[:-1])
 
 
+def _evaluators(tree):
+    reference = uniform_profile(tree)
+    return (lambda p: exploitability(tree, p),
+            lambda p: perturbed_regularized_gap(tree, p, 1e-3, 1.0, ENTROPY,
+                                                0.01),
+            lambda p: bregman_to_reference(tree, p, reference),
+            lambda p: bregman_to_reference(tree, reference, p),
+            lambda p: expected_utility(tree, p))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("rows 0 and 11 resized", r"profile\[0\]: wrong shape \(3,\)"),
+    ("one row too many", r"profile\[12\]: extra row"),
+    ("one row short", r"profile\[11\]: missing"),
+    ("a 2x1 row", r"profile\[4\]: wrong shape \(2, 1\)")])
+def test_evaluators_reject_a_list_that_does_not_fit_the_game(kuhn, bad,
+                                                             message):
+    prof = uniform_profile(kuhn)
+    if bad == "rows 0 and 11 resized":
+        prof[0], prof[-1] = np.full(3, 1 / 3), np.ones(1)
+    elif bad == "one row too many":
+        prof.append(np.full(2, 0.5))
+    elif bad == "one row short":
+        prof.pop()
+    else:
+        prof[4] = np.full((2, 1), 0.5)
+    for evaluate in _evaluators(kuhn):
+        with pytest.raises(ValueError, match=message):
+            evaluate(prof)
+
+
 def test_compute_reference_pennies_uniform(pennies):
     prof, gap = compute_reference(pennies, 0.1, tol=1e-8)
     assert gap <= 1e-8
@@ -312,6 +343,18 @@ def test_compute_reference_rejects_bad_arguments(kuhn, count_full_steps, kw,
                                                  message):
     with pytest.raises(ValueError, match=message):
         compute_reference(kuhn, 0.05, gamma=0.01, **kw)
+    assert count_full_steps["steps"] == 0
+
+
+@pytest.mark.parametrize("kw", [
+    dict(alpha=0.0), dict(alpha=float("nan")), dict(tau=-1.0),
+    dict(gamma=1.5)])
+def test_compute_reference_rejects_bad_rates_before_a_step(
+        kuhn, count_full_steps, kw):
+    args = {"tau": 1e-3, **kw}
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        compute_reference(kuhn, **args)
     assert count_full_steps["steps"] == 0
 
 

@@ -375,6 +375,28 @@ def test_exploration_distribution_is_built_once_and_read_only(kuhn, leduc):
             tree.nu_flat[0] = 0.5
 
 
+def test_row_groups_and_infoset_depth_are_built_once_and_read_only(kuhn,
+                                                                  leduc):
+    for tree in (kuhn, leduc):
+        counts = tree.actions_per_infoset
+        groups = []
+        for na in sorted(set(counts.tolist())):
+            idx = np.flatnonzero(counts == na)
+            pairs = tree.infoset_offset[idx][:, None] + np.arange(na)
+            groups.append((idx, pairs, tree.nu_flat[pairs]))
+        assert len(tree.row_groups) == len(groups)
+        for got, want in zip(tree.row_groups, groups):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                with pytest.raises(ValueError):
+                    a[0] = 0
+        depth = tree.infoset_depth
+        assert depth.dtype == np.int64
+        assert depth.tolist() == [s.depth for s in tree.infosets]
+        with pytest.raises(ValueError):
+            depth[0] = 0
+
+
 def test_gamma_lower_bound_instances(kuhn):
     assert gamma_lower_bound(kuhn, 1.0) == pytest.approx(1.0 / 12.0)
     assert gamma_lower_bound(kuhn, 0.1) == pytest.approx(0.01 / 12.0)

@@ -3,11 +3,15 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import efglab
 from efglab import cli, harness
 from efglab.cli import main as cli_main
 from efglab.game import dump_game, uniform_profile
@@ -365,6 +369,24 @@ def test_cli_constants_cf_and_tq(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["m2"] == pytest.approx(1.0 / doc["gamma_seq"])
     assert "schedule" in doc
+
+
+def test_cli_constants_writes_nothing_to_stderr():
+    # At gamma = 0 an infoset without decision ancestors multiplies a step
+    # size of 0 by an infinite bound in condition B; that NaN violates
+    # nothing and must not print a numpy warning either.
+    src = os.path.dirname(os.path.dirname(efglab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from efglab.cli import main; "
+         "sys.exit(main())", "constants", "--game", "kuhn", "--feedback",
+         "q", "--tau", "0.01", "--gamma", "0"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    # Every infoset but player 1's three first ones has a decision ancestor
+    # and breaks the infinite bound.
+    assert json.loads(proc.stdout)["schedule"]["violations"]["b"] == 9
 
 
 def test_cli_bestresp_uniform_and_profile(tmp_path, capsys):

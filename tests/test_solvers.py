@@ -1,11 +1,15 @@
 """Solver steps, schedules, constants, and the lazy/eager equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from efglab import harness, solvers
 from efglab.evaluate import exploitability
-from efglab.game import PLAYER1, PLAYER2, load_game, uniform_profile
+from efglab.game import (PLAYER1, PLAYER2, dump_game, load_game,
+                         uniform_profile)
+from efglab.games import build_kuhn, build_leduc, build_matching_pennies
 from efglab.regularizers import ENTROPY, EUCLIDEAN, TruncatedSimplex
 from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             average_profile, cfr_plus_step, cfr_step,
@@ -16,7 +20,7 @@ from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             qfr_stochastic_step, schedule_report)
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            sample_trajectory)
-from oracles import to_sequence_form
+from oracles import schedule_report_walk, to_sequence_form
 
 
 def _single_decision_game():
@@ -70,6 +74,27 @@ def test_solver_params_rejects_gamma_outside_the_unit_interval(kuhn, gamma):
     per_infoset[3] = gamma
     with pytest.raises(ValueError):
         SolverParams(kuhn, gamma=per_infoset)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", 0.0), ("alpha", -1.0), ("alpha", float("nan")),
+    ("alpha", float("inf")), ("eta", 0.0), ("eta", -1.0),
+    ("eta", float("nan")), ("eta", float("inf")), ("tau", -1.0),
+    ("tau", float("nan")), ("tau", float("inf")), ("explore_eps", 1.5),
+    ("anneal_decay", -0.5)])
+def test_solver_params_rejects_bad_rates(kuhn, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SolverParams(kuhn, **{name: value})
+    if name in ("alpha", "eta"):
+        per_infoset = np.full(kuhn.num_infosets, 0.5)
+        per_infoset[3] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SolverParams(kuhn, **{name: per_infoset})
+
+
+def test_solver_params_groups_are_the_trees(leduc):
+    params = SolverParams(leduc, tau=0.1, gamma=0.01)
+    assert params.groups is leduc.row_groups
 
 
 def test_qfr_gamma_one_pins_nu(kuhn):
@@ -347,8 +372,10 @@ def test_pga_zero_feedback_fixed_point():
     assert np.allclose(state.cur, before, atol=1e-12)
 
 
-def test_pga_zero_eta_fixed_point(kuhn):
-    params = SolverParams(kuhn, feedback=CF, tau=0.0, gamma=0.0, eta=0.0)
+def test_pga_vanishing_eta_fixed_point(kuhn):
+    # eta = 0 is rejected (test_solver_params_rejects_bad_rates), so a
+    # tiny step size stands in for it.
+    params = SolverParams(kuhn, feedback=CF, tau=0.0, gamma=0.0, eta=1e-300)
     state = SolverState(kuhn, params)
     before = state.cur.copy()
     pga_step(state, kuhn, params)
@@ -586,6 +613,55 @@ def test_schedule_report_flags_match_oracle(kuhn):
                             constants)
     assert not big.all_ok
     assert small.all_ok
+
+
+def _reversed_kuhn():
+    """Kuhn loaded from a document whose infoset ids run backwards, so that
+    they are not in first-encounter order."""
+    doc = dump_game(build_kuhn())
+    last = max(nd["infoset"] for nd in doc["nodes"] if "infoset" in nd)
+    for nd in doc["nodes"]:
+        if "infoset" in nd:
+            nd["infoset"] = last - nd["infoset"]
+    return load_game(doc)
+
+
+def _bits(violations):
+    return [(si, np.float64(v).view(np.uint64)) for si, v in violations]
+
+
+@pytest.mark.parametrize("build", [build_kuhn, build_leduc,
+                                   build_matching_pennies, _reversed_kuhn])
+def test_schedule_report_matches_node_walk_oracle(build):
+    tree = build()
+    first_encounter = bool(np.all(np.diff(tree.first_member) > 0))
+    assert first_encounter == (build is not _reversed_kuhn)
+    rng = np.random.default_rng(3)
+    for kind, family, tau, gamma0, schedule in itertools.product(
+            (CF, QVALUE, TRAJQ), (ENTROPY, EUCLIDEAN), (0.0, 1e-3),
+            (0.0, 1e-2), ("uniform", "depth:0.5")):
+        c = game_constants(tree, kind, family, tau=tau, gamma0=gamma0)
+        # Step sizes that break each condition somewhere, and random ones.
+        for eta in (lr_schedule(tree, 1e-4, schedule),
+                    lr_schedule(tree, 0.5, schedule),
+                    rng.uniform(0.0, 0.2, tree.num_infosets)):
+            alpha = rng.uniform(0.5, 2.0, tree.num_infosets)
+            report = schedule_report(tree, eta, c, alpha)
+            va, vb, vc = schedule_report_walk(tree, eta, c, alpha)
+            assert _bits(report.violations_a) == _bits(va)
+            assert _bits(report.violations_b) == _bits(vb)
+            assert _bits(report.violations_c) == _bits(vc)
+            assert report.all_ok == (not va and not vb and not vc)
+
+
+def test_game_constants_log1g_and_tau_term(kuhn):
+    c = game_constants(kuhn, QVALUE, ENTROPY, tau=1e-3, gamma0=1e-2)
+    assert c.log1g == np.log(1.0 / c.gamma_seq)
+    assert c.tau_term == c.tau / c.m1 * c.log1g
+    c = game_constants(kuhn, QVALUE, ENTROPY, tau=1e-3, gamma0=0.0)
+    assert c.log1g == np.inf and c.tau_term == np.inf
+    c = game_constants(kuhn, TRAJQ, EUCLIDEAN, tau=0.0, gamma0=1e-2)
+    assert c.tau_term == 0.0
 
 
 def test_game_constants_m_values(kuhn):
