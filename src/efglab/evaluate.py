@@ -15,23 +15,21 @@ import numpy as np
 
 from . import solvers
 from .game import PLAYER1, PLAYER2, flatten_profile, unflatten_profile
-from .regularizers import ENTROPY, argmax_batch, bregman_tree_flat
+from .regularizers import (ENTROPY, argmax_batch, bregman_tree_flat,
+                           check_rate, rate_array)
 from .values import (QVALUE, counterfactual_values, infoset_reach,
                      reach_flat, value_to_go)
 
 
-def _reg_best_response(tree, flat, reach, player, tau=0.0, alpha=1.0,
-                       family=ENTROPY, gamma=0.0):
+def _reg_best_response(tree, flat, reach, player, tau, alpha, family,
+                       gamma):
     """Value of `player`'s best response in the perturbed, regularized game:
     expected utility minus tau times the player's own reach-weighted
     regularizer plus tau times the opponent's, maximized over local policies
-    x >= gamma * nu (nu = tree.nu_flat). The response overwrites the
-    player's pairs of the flat profile `flat`, whose reach_flat is `reach`.
-    With tau = 0 and gamma = 0 it is the exact best response (ties broken
-    toward the lowest action index)."""
-    n_sets = tree.num_infosets
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (n_sets,))
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (n_sets,))
+    x >= gamma * nu (nu = tree.nu_flat; alpha and gamma are checked arrays).
+    The response overwrites the player's pairs of the flat profile `flat`,
+    whose reach_flat is `reach`. With tau = 0 and gamma = 0 it is the exact
+    best response (ties broken toward the lowest action index)."""
     # The responder's own depth at each infoset, 0 at the opponent's.
     depth = np.where(tree.infoset_owner == player, tree.own_depth, 0)
 
@@ -60,12 +58,17 @@ def best_response(tree, profile, player):
     best response; ties break toward the lowest action index.
     """
     flat = flatten_profile(tree, profile)
-    value = _reg_best_response(tree, flat, reach_flat(tree, flat), player)
+    n = tree.num_infosets
+    value = _reg_best_response(tree, flat, reach_flat(tree, flat), player,
+                               0.0, np.ones(n), ENTROPY, np.zeros(n))
     return value, unflatten_profile(tree, flat)
 
 
-def _gap(tree, profile, *args):
+def _gap(tree, profile, tau=0.0, alpha=1.0, family=ENTROPY, gamma=0.0):
     """Both players' regularized best-response values, summed."""
+    check_rate(tau=tau)
+    args = (tau, rate_array(tree, "alpha", alpha), family,
+            rate_array(tree, "gamma", gamma))
     flat = flatten_profile(tree, profile)
     reach = reach_flat(tree, flat)
     return (_reg_best_response(tree, flat.copy(), reach, PLAYER1, *args)
@@ -95,6 +98,7 @@ def bregman_to_reference(tree, profile, reference, alpha=1.0,
                          family=ENTROPY):
     """Dilated Bregman divergence from the reference profile to `profile`,
     summed over both players (reference reach weights)."""
+    alpha = rate_array(tree, "alpha", alpha)
     d1, d2 = bregman_tree_flat(tree, flatten_profile(tree, reference),
                                flatten_profile(tree, profile), alpha, family)
     return d1 + d2
@@ -122,7 +126,7 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
     <= tol. The gap is checked every `check_every` steps (and at step
     `max_iters`); raises RuntimeError if the budget of `max_iters` steps is
     exhausted first, and ValueError before the first step if a rate breaks
-    its rule in solvers.RATE_RULES.
+    its rule in regularizers.RATE_RULES.
 
     `eta` is the first step size. On the regularized game a larger step
     converges faster, up to a size at which the gap stalls above tol, so

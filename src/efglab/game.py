@@ -348,15 +348,10 @@ def _check_perfect_recall(tree):
         raise GameValidationError(
             f"imperfect recall: infoset {violations[0]['infoset']} members "
             f"have distinct own-action histories (not supported)")
-    for si, s in enumerate(tree.infosets):
+    for s in tree.infosets:
         key = hist[s.owner][s.members[0]]
         s.parent_seq = key[-1] if key else None
         s.own_depth = len(key) + 1
-        if s.parent_seq is not None:
-            ps, _ = s.parent_seq
-            if tree.infosets[ps].own_depth >= s.own_depth:
-                raise GameValidationError(
-                    f"infoset {si}: parent sequence not shallower")
     tree.own_depth = np.asarray([s.own_depth for s in tree.infosets],
                                 dtype=np.int64)
 

@@ -24,10 +24,10 @@ from .evaluate import (bregman_to_reference, compute_reference,
                        exploitability, perturbed_regularized_gap)
 from .game import GameError, flatten_profile, load_game
 from .games import build_kuhn, build_leduc
-from .regularizers import ENTROPY, EUCLIDEAN
-from .solvers import (RATE_RULES, SolverParams, SolverState, average_flat,
-                      check_m_bounds, check_rate, game_constants,
-                      lazy_catch_up, parse_schedule)
+from .regularizers import ENTROPY, EUCLIDEAN, RATE_RULES, check_rate
+from .solvers import (SolverParams, SolverState, average_flat,
+                      check_m_bounds, game_constants, lazy_catch_up,
+                      parse_schedule)
 from .values import (FEEDBACK_KINDS, TRAJQ, infoset_reach, multiplier,
                      reach_flat)
 
@@ -94,7 +94,7 @@ class RunConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {v!r}")
-            check_rate(name, v)
+            check_rate(**{name: v})
         parse_schedule(self.schedule)
         if self.algo in SAMPLED and self.feedback != TRAJQ:
             raise ValueError(f"{self.algo} samples trajectory-q estimates; "

@@ -21,6 +21,38 @@ EUCLIDEAN = "euclidean"
 
 _TINY = 1e-300
 
+# Every rate's rule, read by check_rate and rate_array here and by
+# harness.RunConfig (which checks them in this order). Every comparison with
+# NaN is false, so NaN fails each rule.
+_POSITIVE = ("positive", lambda v: (0.0 < v) & (v < np.inf))
+_UNIT = ("in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))
+RATE_RULES = {"eta": _POSITIVE, "alpha": _POSITIVE,
+              "tau": ("non-negative", lambda v: (0.0 <= v) & (v < np.inf)),
+              "gamma": _UNIT, "explore_eps": _UNIT, "anneal_decay": _UNIT}
+
+
+def check_rate(**rates):
+    """Raise ValueError if a named rate (number or array) breaks its rule."""
+    for name, value in rates.items():
+        rule, holds = RATE_RULES[name]
+        if not np.all(holds(np.asarray(value, dtype=np.float64))):
+            raise ValueError(
+                f"{name} must be finite and {rule}, got {value!r}")
+
+
+def rate_array(tree, name, value):
+    """Rate `name`, checked, as a new float64 array over the tree's infosets:
+    a number is repeated, and an array of another shape raises ValueError."""
+    check_rate(**{name: value})
+    n = tree.num_infosets
+    arr = np.array(value, dtype=np.float64)
+    if arr.ndim == 0:
+        return np.full(n, arr)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must be a number or one value per infoset "
+                         f"({n}), got shape {arr.shape}")
+    return arr
+
 
 class TruncatedSimplex:
     """Feasible set {x >= gamma * nu, sum x = 1} with nu a distribution."""
@@ -28,9 +60,8 @@ class TruncatedSimplex:
     __slots__ = ("gamma", "nu")
 
     def __init__(self, gamma, nu):
+        check_rate(gamma=gamma)
         nu = np.asarray(nu, dtype=np.float64)
-        if not 0.0 <= gamma <= 1.0 + 1e-12:  # NaN fails too
-            raise ValueError(f"gamma {gamma} outside [0, 1]")
         if np.any(nu <= 0.0) and gamma > 0.0:
             raise ValueError("nu must be strictly positive when gamma > 0")
         if gamma * nu.sum() > 1.0 + 1e-9:
@@ -113,6 +144,7 @@ def bregman_tree_flat(tree, x, y, alpha, family):
 def bregman_tree(tree, profile, ref_profile, player, alpha, family):
     """Dilated-regularizer Bregman divergence D(profile, ref) for one player
     (see bregman_tree_flat)."""
+    alpha = rate_array(tree, "alpha", alpha)
     return bregman_tree_flat(tree, flatten_profile(tree, profile),
                              flatten_profile(tree, ref_profile), alpha,
                              family)[player - PLAYER1]
@@ -194,6 +226,7 @@ def prox_batch(family, X0, G, tau0, eta, alpha, gamma, NU):
 
 def prox_step(x0, g, tau0, eta, alpha, family, simplex):
     """One-row prox_batch call on a single distribution."""
+    check_rate(tau=tau0, eta=eta, alpha=alpha)
     return prox_batch(family, np.asarray(x0, dtype=np.float64)[None, :],
                       np.asarray(g, dtype=np.float64)[None, :],
                       np.asarray([tau0], dtype=np.float64),
@@ -243,6 +276,7 @@ def argmax_regularized(q, tau0, alpha, family, simplex):
 
     Returns (x, value); a one-row argmax_batch call.
     """
+    check_rate(tau=tau0, alpha=alpha)
     q = np.asarray(q, dtype=np.float64)
     x = argmax_batch(family, q[None, :], np.asarray([tau0], dtype=np.float64),
                      np.asarray([alpha], dtype=np.float64),

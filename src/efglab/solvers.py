@@ -15,16 +15,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from .game import PLAYER1, PLAYER2, gamma_lower_bound, unflatten_profile
-from .regularizers import ENTROPY, EUCLIDEAN, floor_fit, prox_batch
+from .regularizers import (ENTROPY, EUCLIDEAN, check_rate, floor_fit,
+                           prox_batch, rate_array)
 from .values import (CF, QVALUE, TRAJQ, estimate_trajectory_q, feedback_flat,
                      infoset_reach, reach_flat, sample_trajectory)
 
 
 def parse_schedule(schedule):
-    """Depth ratio of a schedule string: None for "uniform", RATIO in (0, 1]
+    """Depth ratio of a schedule string: 1 for "uniform", RATIO in (0, 1]
     for "depth:RATIO"."""
     if schedule == "uniform":
-        return None
+        return 1.0
     if isinstance(schedule, str) and schedule.startswith("depth:"):
         try:
             ratio = float(schedule[len("depth:"):])
@@ -39,60 +40,33 @@ def parse_schedule(schedule):
 
 
 def lr_schedule(tree, eta0, schedule="uniform"):
-    """Per-infoset step sizes.
-
-    schedule is "uniform" or "depth:RATIO"; the depth schedule assigns
-    eta0 / ratio**depth(s), growing with the infoset's depth (maximum member
-    node depth in actions of all players) when ratio < 1.
+    """Per-infoset step sizes eta0 / ratio**depth(s), for eta0 a number or
+    one value per infoset and schedule "uniform" (ratio 1) or "depth:RATIO";
+    they grow with the infoset's depth (maximum member node depth in actions
+    of all players) when ratio < 1.
     """
-    ratio = parse_schedule(schedule)
-    if ratio is None:
-        return np.full(tree.num_infosets, float(eta0))
-    return eta0 / ratio ** tree.infoset_depth.astype(float)
-
-
-# Every rate's rule, shared by SolverParams and harness.RunConfig (which
-# checks them in this order). Every comparison with NaN is false, so NaN
-# fails each rule.
-_POSITIVE = ("positive", lambda v: (0.0 < v) & (v < np.inf))
-_UNIT = ("in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))
-RATE_RULES = {"eta": _POSITIVE, "alpha": _POSITIVE,
-              "tau": ("non-negative", lambda v: (0.0 <= v) & (v < np.inf)),
-              "gamma": _UNIT, "explore_eps": _UNIT, "anneal_decay": _UNIT}
-
-
-def check_rate(name, value):
-    """Raise ValueError if rate `name` (number or array) breaks its rule."""
-    rule, holds = RATE_RULES[name]
-    if not np.all(holds(np.asarray(value, dtype=np.float64))):
-        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+    return (rate_array(tree, "eta", eta0)
+            / parse_schedule(schedule) ** tree.infoset_depth.astype(float))
 
 
 class SolverParams:
     """Configuration shared by all solver step functions: alpha, gamma
     and eta are arrays over infosets, strategies are floored at gamma * nu
     (nu is tree.nu_flat), and groups is the tree's row_groups, for batched
-    prox solves. A rate outside its rule in RATE_RULES raises ValueError."""
+    prox solves. Rates go through regularizers.rate_array or check_rate."""
 
     def __init__(self, tree, feedback=QVALUE, family=ENTROPY, alpha=1.0,
                  tau=0.0, gamma=0.0, eta=0.1, schedule="uniform",
                  explore_eps=0.6, anneal_decay=0.0, anneal_every=0):
-        n = tree.num_infosets
         if feedback not in (CF, QVALUE, TRAJQ):
             raise ValueError(f"unknown feedback kind {feedback!r}")
-        for name, value in (("eta", eta), ("alpha", alpha), ("tau", tau),
-                            ("gamma", gamma), ("explore_eps", explore_eps),
-                            ("anneal_decay", anneal_decay)):
-            check_rate(name, value)
         self.feedback = feedback
         self.family = family
-        self.alpha = (np.full(n, float(alpha)) if np.isscalar(alpha)
-                      else np.asarray(alpha, dtype=np.float64))
+        self.eta = lr_schedule(tree, eta, schedule)
+        self.alpha = rate_array(tree, "alpha", alpha)
+        self.gamma = rate_array(tree, "gamma", gamma)
+        check_rate(tau=tau, explore_eps=explore_eps, anneal_decay=anneal_decay)
         self.tau = float(tau)
-        self.gamma = (np.full(n, float(gamma)) if np.isscalar(gamma)
-                      else np.asarray(gamma, dtype=np.float64))
-        self.eta = (lr_schedule(tree, eta, schedule) if np.isscalar(eta)
-                    else np.asarray(eta, dtype=np.float64))
         self.explore_eps = float(explore_eps)
         self.anneal_decay = anneal_decay
         self.anneal_every = anneal_every
@@ -322,7 +296,7 @@ def os_mccfr_step(state, tree, params, rng):
     u1 = traj.utility
     q_pref = 1.0
     own_true = {PLAYER1: 1.0, PLAYER2: 1.0}
-    visited = []
+    visited = np.zeros(tree.num_infosets, dtype=bool)
     for k in range(traj.num_steps):
         nd = tree.nodes[traj.nodes[k]]
         if not nd.is_chance:
@@ -340,15 +314,9 @@ def os_mccfr_step(state, tree, params, rng):
             state.strat_sum[off:off + na] += ((own_true[p] / q_pref)
                                               * state.cur[off:off + na])
             own_true[p] = own_incl
-            visited.append(si)
+            visited[si] = True
         q_pref *= traj.sample_probs[k]
-    for si in visited:
-        off = tree.infoset_offset[si]
-        na = tree.actions_per_infoset[si]
-        pos = np.maximum(state.regret[off:off + na], 0.0)
-        tot = pos.sum()
-        state.cur[off:off + na] = (pos / tot if tot > 0.0
-                                   else 1.0 / na)
+    _regret_matching(state, tree, pair_mask=visited[tree.pair_infoset])
     state.t += 1
     return traj
 
@@ -526,9 +494,9 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    check_rate(tau=tau, gamma=gamma0)
     n = tree.num_infosets
-    alpha = (np.full(n, float(alpha)) if np.isscalar(alpha)
-             else np.asarray(alpha, dtype=np.float64))
+    alpha = rate_array(tree, "alpha", alpha)
     if gamma_seq is None:
         gamma_seq = gamma_lower_bound(tree, gamma0) if gamma0 > 0.0 else 0.0
     na = tree.actions_per_infoset
@@ -565,8 +533,7 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
         c_diff = (2.0 / alpha) * (2.0 * q_bound + alpha * tau * (
             0.0 if tau == 0.0 else (log1g / m1 if m1 > 0 else np.inf)))
     else:
-        c_diff = (na / alpha) * q_bound + 2.0 * np.sqrt(na) * (
-            tau / m1 if (tau > 0.0 and m1 > 0.0) else (np.inf if tau > 0.0 else 0.0))
+        c_diff = (na / alpha) * q_bound + 2.0 * np.sqrt(na) * tau_over_m1
 
     k_ent = 2.0 * q_bound / alpha + tau_term
     max_c_diff = float(np.max(c_diff))
@@ -643,10 +610,8 @@ def schedule_report(tree, eta, constants, alpha=1.0, tol=1e-12):
 
     Each violation list holds (infoset, value) in ascending infoset order.
     """
-    n = tree.num_infosets
-    eta = np.asarray(eta, dtype=np.float64)
-    alpha = (np.full(n, float(alpha)) if np.isscalar(alpha)
-             else np.asarray(alpha, dtype=np.float64))
+    eta = rate_array(tree, "eta", eta)
+    alpha = rate_array(tree, "alpha", alpha)
     c = constants
 
     # (A): the owner's step sizes summed along each sequence, root first,
@@ -666,7 +631,7 @@ def schedule_report(tree, eta, constants, alpha=1.0, tol=1e-12):
     for lo, hi in tree.edge_level_slices:
         anc[tree.edge_child[lo:hi]] = np.maximum(
             anc[tree.edge_parent[lo:hi]], edge_eta[lo:hi])
-    eta_anc = np.zeros(n)
+    eta_anc = np.zeros(tree.num_infosets)
     np.maximum.at(eta_anc, tree.member_infoset, anc[tree.member_node])
     max_k = float(np.max(2.0 * c.q_bound / alpha + c.tau_term))
     # An infoset without decision ancestors has eta_anc = 0, and 0 times

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PLAYER1, flatten_profile, unflatten_profile
-from .regularizers import local_psi, psi_flat
+from .regularizers import check_rate, local_psi, psi_flat, rate_array
 
 CF = "cf"
 QVALUE = "q"
@@ -173,10 +173,11 @@ def compute_feedback(tree, profile, kind, tau=0.0, alpha=1.0, family=None):
     counterfactual value. With tau > 0 a regularizer family must be given
     and values are augmented as described in the module docstring.
     """
+    check_rate(tau=tau)
+    alpha = rate_array(tree, "alpha", alpha)
     flat = flatten_profile(tree, profile)
-    a = alpha if np.isscalar(alpha) else np.asarray(alpha)
     q_flat, m, own_reach, opp_reach, cf_flat = feedback_flat(
-        tree, flat, kind, tau, a, family)
+        tree, flat, kind, tau, alpha, family)
     return FeedbackBundle(kind, tau, unflatten_profile(tree, q_flat), m,
                           own_reach, opp_reach,
                           unflatten_profile(tree, cf_flat))
@@ -263,7 +264,8 @@ def estimate_trajectory_q(tree, traj, profile, tau=0.0, alpha=1.0,
     that involve only the owner's own strategy).
 
     Returns {infoset_id: (action, estimate)} over visited infosets. The
-    trajectory must have been sampled from `profile` itself.
+    trajectory must have been sampled from `profile` itself; a hot kernel, it
+    reads alpha (a number or a per-infoset array) unchecked.
     """
     if tau != 0.0 and family is None:
         raise ValueError("tau > 0 requires a regularizer family")

@@ -13,7 +13,8 @@ from efglab.game import (PLAYER1, PLAYER2, expected_utility,
                          exploration_distribution, flatten_profile,
                          load_game, uniform_profile, unflatten_profile)
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
-                                 argmax_batch, argmax_regularized)
+                                 argmax_batch, argmax_regularized,
+                                 rate_array)
 from efglab.solvers import SolverParams, SolverState, cfr_step
 from efglab.values import CF, compute_feedback, reach_flat
 from oracles import reg_best_response_recursive
@@ -154,15 +155,21 @@ def test_evaluators_take_a_list_or_its_flat_array(request, game, rng):
         flat = flatten_profile(tree, prof)
         before = flat.copy()
         assert exploitability(tree, prof) == exploitability(tree, flat)
+        # A rate given per infoset gives the same float as its number.
+        ones = np.ones(tree.num_infosets)
         for family in (ENTROPY, EUCLIDEAN):
             for gamma in (0.0, 0.05):
-                assert (perturbed_regularized_gap(tree, prof, 1e-3, 1.0,
-                                                  family, gamma)
-                        == perturbed_regularized_gap(tree, flat, 1e-3, 1.0,
-                                                     family, gamma))
-            assert (bregman_to_reference(tree, prof, reference, 1.0, family)
-                    == bregman_to_reference(tree, flat, ref_flat, 1.0,
-                                            family))
+                want = perturbed_regularized_gap(tree, prof, 1e-3, 1.0,
+                                                 family, gamma)
+                assert want == perturbed_regularized_gap(
+                    tree, flat, 1e-3, 1.0, family, gamma)
+                assert want == perturbed_regularized_gap(
+                    tree, flat, 1e-3, ones, family, gamma * ones)
+            want = bregman_to_reference(tree, prof, reference, 1.0, family)
+            assert want == bregman_to_reference(tree, flat, ref_flat, 1.0,
+                                                family)
+            assert want == bregman_to_reference(tree, flat, ref_flat, ones,
+                                                family)
         # The evaluators read their flat argument without writing it.
         assert np.array_equal(flat, before)
     with pytest.raises(ValueError):
@@ -479,7 +486,10 @@ def test_best_response_matches_recursive_oracle(game, setting, kind,
                 tree, prof, player, tau, alpha, family, simplexes)
             flat = flatten_profile(tree, prof)
             got_v = _reg_best_response(tree, flat, reach_flat(tree, flat),
-                                       player, tau, alpha, family, gamma)
+                                       player, tau,
+                                       rate_array(tree, "alpha", alpha),
+                                       family,
+                                       rate_array(tree, "gamma", gamma))
             assert got_v == pytest.approx(want_v, rel=1e-12, abs=1e-12)
             got = unflatten_profile(tree, flat)
             for si in tree.infoset_ids(3 - player):
@@ -539,7 +549,8 @@ def test_argmax_batch_equals_one_row_calls(rng):
             alpha = rng.uniform(0.5, 2.0, size=m)
             NU = rng.dirichlet(np.ones(n), size=m)
             gamma = rng.uniform(0.0, 0.5, size=m)
-            gamma[::4] = 1.0 / NU[::4].sum(axis=1)    # tight floors
+            # Tight floors; gamma may not exceed 1 by roundoff.
+            gamma[::4] = np.minimum(1.0 / NU[::4].sum(axis=1), 1.0)
             gamma[1::4] = 0.0
             got = argmax_batch(family, Q, tau0, alpha, gamma, NU)
             for i in range(m):

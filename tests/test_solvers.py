@@ -137,15 +137,21 @@ def test_qfr_full_reduces_exploitability(kuhn):
 
 
 def test_qfr_determinism(kuhn):
+    # The second run is the same, and so is a run given every rate as its
+    # per-infoset array.
+    n = kuhn.num_infosets
     profs = []
-    for _ in range(2):
+    for alpha, gamma, eta in ((1.0, 0.01, 0.05), (1.0, 0.01, 0.05),
+                              (np.ones(n), np.full(n, 0.01),
+                               np.full(n, 0.05))):
         params = SolverParams(kuhn, feedback=QVALUE, family=ENTROPY,
-                              tau=0.01, gamma=0.01, eta=0.05)
+                              alpha=alpha, tau=0.01, gamma=gamma, eta=eta)
         state = SolverState(kuhn, params)
         for _ in range(50):
             qfr_full_step(state, kuhn, params)
         profs.append(state.cur.copy())
     assert np.array_equal(profs[0], profs[1])
+    assert np.array_equal(profs[0], profs[2])
 
 
 def test_qfr_m_bounds_and_stability_monitor(kuhn):
@@ -508,6 +514,33 @@ def test_os_mccfr_converges_scaled_down(kuhn):
     assert exploitability(kuhn, average_profile(state, kuhn)) <= 0.1
 
 
+@pytest.mark.parametrize("game, steps", [("kuhn", 3000), ("leduc", 400),
+                                         ("pennies", 500)])
+def test_os_mccfr_regret_matching_equals_the_per_infoset_rule(
+        request, game, steps):
+    # After each step, every visited infoset plays its positive regrets
+    # normalized by their sum (uniform if none is positive), bit for bit as
+    # a per-infoset loop computes them; the other infosets keep theirs.
+    tree = request.getfixturevalue(game)
+    for seed, eps in itertools.product(range(3), (0.0, 0.6, 1.0)):
+        params = SolverParams(tree, feedback=CF, explore_eps=eps)
+        state = SolverState(tree, params)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            want = state.cur.copy()
+            traj = os_mccfr_step(state, tree, params, rng)
+            for node in traj.nodes[:-1]:
+                if tree.nodes[node].is_chance:
+                    continue
+                si = tree.nodes[node].infoset
+                off = tree.infoset_offset[si]
+                na = tree.actions_per_infoset[si]
+                pos = np.maximum(state.regret[off:off + na], 0.0)
+                tot = pos.sum()
+                want[off:off + na] = pos / tot if tot > 0.0 else 1.0 / na
+            assert np.array_equal(state.cur, want)
+
+
 # ---------------------------------------------------------------------------
 # MMD
 
@@ -658,6 +691,13 @@ def test_game_constants_log1g_and_tau_term(kuhn):
     c = game_constants(kuhn, QVALUE, ENTROPY, tau=1e-3, gamma0=1e-2)
     assert c.log1g == np.log(1.0 / c.gamma_seq)
     assert c.tau_term == c.tau / c.m1 * c.log1g
+    # A per-infoset alpha gives the same bits as the number.
+    per_infoset = game_constants(kuhn, QVALUE, ENTROPY,
+                                 np.ones(kuhn.num_infosets), 1e-3,
+                                 1e-2, horizon=100)
+    for name, value in vars(game_constants(kuhn, QVALUE, ENTROPY, 1.0, 1e-3,
+                                           1e-2, horizon=100)).items():
+        assert np.array_equal(getattr(per_infoset, name), value), name
     c = game_constants(kuhn, QVALUE, ENTROPY, tau=1e-3, gamma0=0.0)
     assert c.log1g == np.inf and c.tau_term == np.inf
     c = game_constants(kuhn, TRAJQ, EUCLIDEAN, tau=0.0, gamma0=1e-2)

@@ -186,8 +186,13 @@ def test_augmented_cf_matches_path_sum_oracle(kuhn):
     prof = uniform_profile(kuhn)
     fb = compute_feedback(kuhn, prof, CF, tau=0.1, alpha=1.0, family=ENTROPY)
     oracle = _augmented_cf_oracle(kuhn, prof, 0.1, 1.0, ENTROPY)
+    # A per-infoset alpha gives the same bits as the number.
+    per_infoset = compute_feedback(kuhn, prof, CF, tau=0.1,
+                                   alpha=np.ones(kuhn.num_infosets),
+                                   family=ENTROPY)
     for si in range(kuhn.num_infosets):
         assert np.allclose(fb.cf[si], oracle[si], atol=1e-10)
+        assert np.array_equal(per_infoset.cf[si], fb.cf[si])
 
 
 def test_augmented_cf_matches_oracle_random(kuhn, rng):
