@@ -5,7 +5,7 @@ from .game import (CHANCE, PLAYER1, PLAYER2, GameError, GameFormatError,
                    expected_utility, exploration_distribution,
                    flatten_profile, gamma_lower_bound, load_game,
                    random_profile, unflatten_profile, uniform_profile,
-                   validate_perfect_recall, validate_profile)
+                   validate_profile)
 from .games import build_kuhn, build_leduc, build_matching_pennies
 from .regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                            argmax_regularized, bregman_local, bregman_tree,

@@ -82,15 +82,20 @@ def _reading(path):
         raise ValueError(f"{path}: {e}") from e
 
 
+def _metric(value):
+    """A metric as the summary line prints it: never NaN or inf."""
+    return f"{value:.6g}" if np.isfinite(value) else "non-finite"
+
+
 def _run(**fields):
     outcome = run(RunConfig(**fields))
     last = outcome.rows[-1]
     print(f"rows: {len(outcome.rows)}  m-bound violations: "
           f"{outcome.m_violations}")
-    print(f"final: iter={last['iter']} expl_last={last['expl_last']:.6g}"
-          + (f" expl_avg={last['expl_avg']:.6g}"
+    print(f"final: iter={last['iter']} expl_last={_metric(last['expl_last'])}"
+          + (f" expl_avg={_metric(last['expl_avg'])}"
              if last["expl_avg"] is not None else "")
-          + (f" reg_gap={last['reg_gap']:.6g}"
+          + (f" reg_gap={_metric(last['reg_gap'])}"
              if last["reg_gap"] is not None else ""))
     for row in outcome.rows:
         bad = [k for k in CSV_FIELDS

@@ -128,20 +128,23 @@ def compute_reference(tree, tau, alpha=1.0, family=ENTROPY, gamma=0.0,
     exhausted first, and ValueError before the first step if a rate breaks
     its rule in regularizers.RATE_RULES.
 
-    `eta` is the first step size. On the regularized game a larger step
-    converges faster, up to a size at which the gap stalls above tol, so
-    the step size adapts: each check that sets a new best gap snapshots the
-    iterate, and after STALL_CHECKS checks in a row without one (a
-    non-finite gap never counts as one) the step size halves and the
-    solver restarts from the best snapshot, or from the start if no check
-    has yet set a best gap. The step size never halves below
-    min(eta, ETA_FLOOR); once there it stays fixed and the solver no longer
-    restarts, so an `eta` at or below ETA_FLOOR runs at that fixed step.
+    `eta` is the first step size, one number (ValueError otherwise). On
+    the regularized game a larger step converges faster, up to a size at
+    which the gap stalls above tol, so the step size adapts: each check
+    that sets a new best gap snapshots the iterate, and after STALL_CHECKS
+    checks in a row without one (a non-finite gap never counts as one) the
+    step size halves and the solver restarts from the best snapshot, or
+    from the start if no check has yet set a best gap. The step size never
+    halves below min(eta, ETA_FLOOR); once there it stays fixed and the
+    solver no longer restarts, so an `eta` at or below ETA_FLOOR runs at
+    that fixed step.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if check_every < 1:
         raise ValueError(f"check_every must be at least 1, got {check_every}")
+    if np.ndim(eta) != 0:
+        raise ValueError(f"eta must be one number, got shape {np.shape(eta)}")
     params = solvers.SolverParams(tree, feedback=QVALUE, family=family,
                                   alpha=alpha, tau=tau, gamma=gamma, eta=eta)
     state = solvers.SolverState(tree, params)

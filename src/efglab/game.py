@@ -65,23 +65,18 @@ class Node:
 class Infoset:
     """A set of nodes indistinguishable to their owner.
 
-    parent_seq is the owner's previous (infoset, action) pair on the path to
-    any member (identical across members by perfect recall), or None at the
-    top of the owner's decision tree. depth is the maximum member node depth
-    counted in actions of all players; own_depth counts only the owner's own
-    decisions (1 for the owner's first decision).
+    depth is the maximum member node depth counted in actions of all
+    players. The owner's own depth and parent sequence are on the tree
+    (`GameTree.own_depth`, `GameTree.node_seq`).
     """
 
-    __slots__ = ("owner", "actions", "members", "parent_seq", "depth",
-                 "own_depth")
+    __slots__ = ("owner", "actions", "members", "depth")
 
     def __init__(self, owner, actions):
         self.owner = owner
         self.actions = actions
         self.members = []
-        self.parent_seq = None
         self.depth = 0
-        self.own_depth = 1
 
     @property
     def num_actions(self):
@@ -113,7 +108,6 @@ class GameTree:
     def _finalize(self):
         """Validate structure and build traversal caches."""
         _validate_structure(self)
-        _check_perfect_recall(self)
 
         # Flat edge arrays grouped by parent depth (descending order is a
         # backward value sweep; ascending is a forward reach sweep). Chance
@@ -172,26 +166,44 @@ class GameTree:
         # Sequence form (von Stengel 1996): a player's reach at a node is
         # the realization weight of the player's last own pair on the path
         # to it. node_seq[p - 1] holds that pair for player p (-1 for the
-        # empty sequence). Chance reach does not depend on the profile, so
-        # it is swept here once.
+        # empty sequence), and own_count[p - 1] the number of p's decisions
+        # on the path. Chance reach does not depend on the profile, so it
+        # is swept here once.
         chance_weight = np.where(dec, 1.0, self.edge_chance_prob)
         dec_bounds = np.searchsorted(self.dec_edge, bounds)
         seq = np.full((2, self.num_nodes), -1, dtype=np.int64)
+        own_count = np.zeros((2, self.num_nodes), dtype=np.int64)
         chance_reach = np.ones(self.num_nodes)
         for (lo, hi), a, b in zip(self.edge_level_slices, dec_bounds[:-1],
                                   dec_bounds[1:]):
             par = self.edge_parent[lo:hi]
             ch = self.edge_child[lo:hi]
             seq[:, ch] = seq[:, par]
+            own_count[:, ch] = own_count[:, par]
             seq[dec_row[a:b], self.dec_child[a:b]] = self.dec_pair[a:b]
+            own_count[dec_row[a:b], self.dec_child[a:b]] += 1
             chance_reach[ch] = chance_reach[par] * chance_weight[lo:hi]
         self.node_seq = seq
         chance_reach.flags.writeable = False
         self.chance_reach = chance_reach
+
+        # Perfect recall: the members of every infoset share the owner's
+        # last own pair (the parent sequence). By induction over own depth
+        # they then share the owner's whole own history.
+        row = self.infoset_owner - PLAYER1
+        parent_pair = seq[row, self.first_member]
+        member_pair = seq[row[self.member_infoset], self.member_node]
+        bad = member_pair != parent_pair[self.member_infoset]
+        if bad.any():
+            raise GameValidationError(
+                f"imperfect recall: infoset "
+                f"{self.member_infoset[bad.argmax()]} members have distinct "
+                f"own-action histories (not supported)")
+        # Own depth counts the owner's decisions, 1 at the first.
+        self.own_depth = own_count[row, self.first_member] + 1
+
         # The pairs of each own depth, shallowest first, with the pair of
-        # their parent sequence: the owner's last own pair at the first
-        # member of the infoset.
-        parent_pair = seq[self.infoset_owner - PLAYER1, self.first_member]
+        # their parent sequence.
         pair_depth = self.own_depth[self.pair_infoset]
         self.seq_levels = [
             (pairs, parent_pair[self.pair_infoset[pairs]])
@@ -300,60 +312,6 @@ def _validate_structure(tree):
         if not s.members:
             raise GameValidationError(f"infoset {si} has no member nodes")
         s.depth = max(nodes[i].depth for i in s.members)
-
-
-def _own_histories(nodes):
-    """Own action history per node per player: tuple of (infoset, action)."""
-    hist = {PLAYER1: [()] * len(nodes), PLAYER2: [()] * len(nodes)}
-    for i, n in enumerate(nodes):
-        for a, c in enumerate(n.children):
-            for p in (PLAYER1, PLAYER2):
-                h = hist[p][i]
-                if n.owner == p:
-                    h = h + ((n.infoset, a),)
-                hist[p][c] = h
-    return hist
-
-
-def validate_perfect_recall(tree_or_nodes, infosets=None):
-    """Report perfect-recall violations as data rather than exceptions.
-
-    Accepts either a GameTree or raw ``(nodes, infosets)`` lists in
-    parent-before-child order.  Returns a list of violation records, one per
-    infoset whose members disagree on the owner's own action history; an
-    empty list means the structure has perfect recall.
-    """
-    if infosets is None:
-        nodes, infosets = tree_or_nodes.nodes, tree_or_nodes.infosets
-    else:
-        nodes = tree_or_nodes
-    return _recall_violations(_own_histories(nodes), infosets)
-
-
-def _recall_violations(hist, infosets):
-    violations = []
-    for si, s in enumerate(infosets):
-        keys = {hist[s.owner][i] for i in s.members}
-        if len(keys) != 1:
-            violations.append({"infoset": si,
-                               "histories": sorted(keys)})
-    return violations
-
-
-def _check_perfect_recall(tree):
-    """Verify perfect recall and derive parent sequences and own depths."""
-    hist = _own_histories(tree.nodes)
-    violations = _recall_violations(hist, tree.infosets)
-    if violations:
-        raise GameValidationError(
-            f"imperfect recall: infoset {violations[0]['infoset']} members "
-            f"have distinct own-action histories (not supported)")
-    for s in tree.infosets:
-        key = hist[s.owner][s.members[0]]
-        s.parent_seq = key[-1] if key else None
-        s.own_depth = len(key) + 1
-    tree.own_depth = np.asarray([s.own_depth for s in tree.infosets],
-                                dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +428,11 @@ def gamma_lower_bound(tree, gamma0):
     """Sequence-form mass floor implied by per-infoset floor gamma0.
 
     Equals gamma0 ** D / num_infosets where D is the maximum infoset depth
-    counted in the owner's own actions.
+    counted in the owner's own actions. Raises ValueError unless gamma0 is
+    in [0, 1] (regularizers.RATE_RULES["gamma"]).
     """
+    from .regularizers import check_rate
+    check_rate(gamma=gamma0)
     d = int(tree.own_depth.max())
     return gamma0 ** d / tree.num_infosets
 

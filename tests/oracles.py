@@ -1,14 +1,18 @@
 """Slow reference implementations that check the library's flat paths.
 
 Each oracle works node by node or in sequence form, apart from
-`efglab.values.reach_flat`: per-node reach by one parent-before-child pass,
-sequence-form realization plans by recursion over parent sequences,
-expected utility by backward traversal, the dilated Bregman divergence
-from its sequence-form definition, the regularized best response by a
-memoized recursion over nodes with one `argmax_regularized` call per
-infoset, both floor fits of `efglab.regularizers.floor_fit` by the
-sort-and-threshold rules, and the step-size conditions of
-`efglab.solvers.schedule_report` by a walk over the nodes.
+`efglab.values.reach_flat`: each player's own action history at every node
+by one parent-before-child pass (and from it perfect recall, each
+infoset's parent sequence and own depth, which the tree reads off
+`node_seq`, and the terminal counts behind the exploration distribution),
+per-node reach by one parent-before-child pass, sequence-form realization
+plans by recursion over parent sequences, expected utility by backward
+traversal, the dilated Bregman divergence from its sequence-form
+definition, the regularized best response by a memoized recursion over
+nodes with one `argmax_regularized` call per infoset, both floor fits of
+`efglab.regularizers.floor_fit` by the sort-and-threshold rules, and the
+step-size conditions of `efglab.solvers.schedule_report` by a walk over
+the nodes.
 
 The helpers at the end (full simplexes, local regularizer gradients,
 opponent reach and the dilated and bidilated regularizer values) are read
@@ -17,10 +21,70 @@ only by tests, so they live here rather than in the library.
 
 import numpy as np
 
-from efglab.game import PLAYER1, flatten_profile
+from efglab.game import PLAYER1, PLAYER2, flatten_profile
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  argmax_regularized, local_psi, psi_flat)
 from efglab.values import infoset_reach, reach_flat
+
+
+def own_histories(nodes):
+    """Each player's own action history at every node: the tuple of the
+    (infoset, action) pairs the player took on the path from the root."""
+    hist = {PLAYER1: [()] * len(nodes), PLAYER2: [()] * len(nodes)}
+    for i, n in enumerate(nodes):
+        for a, c in enumerate(n.children):
+            for p in (PLAYER1, PLAYER2):
+                h = hist[p][i]
+                if n.owner == p:
+                    h = h + ((n.infoset, a),)
+                hist[p][c] = h
+    return hist
+
+
+def _member_histories(nodes):
+    """Per infoset id, the set of its members' histories of the owner."""
+    hist = own_histories(nodes)
+    keys = {}
+    for i, n in enumerate(nodes):
+        if n.owner in (PLAYER1, PLAYER2):
+            keys.setdefault(n.infoset, set()).add(hist[n.owner][i])
+    return keys
+
+
+def validate_perfect_recall(tree_or_nodes):
+    """Perfect-recall violations as data, from a GameTree or a node list in
+    parent-before-child order: one record per infoset whose members
+    disagree on the owner's own action history, by ascending infoset. An
+    empty list means the structure has perfect recall."""
+    nodes = getattr(tree_or_nodes, "nodes", tree_or_nodes)
+    return [{"infoset": si, "histories": sorted(keys)}
+            for si, keys in sorted(_member_histories(nodes).items())
+            if len(keys) != 1]
+
+
+def own_sequences(tree):
+    """Per infoset, the owner's parent sequence (the last own (infoset,
+    action) pair on the path to any member, None at the top of the owner's
+    decision tree) and own depth (1 at the owner's first decision).
+    Raises ValueError if the members of an infoset disagree on it."""
+    keys = _member_histories(tree.nodes)
+    parent_seq, own_depth = [], []
+    for si in range(tree.num_infosets):
+        (h,) = keys[si]
+        parent_seq.append(h[-1] if h else None)
+        own_depth.append(len(h) + 1)
+    return parent_seq, own_depth
+
+
+def terminal_count_oracle(tree, si, a, parent_seq=None):
+    """Number of terminal-for-owner infosets in the subtree of (si, a)."""
+    if parent_seq is None:
+        parent_seq = own_sequences(tree)[0]
+    kids = [sj for sj, ps in enumerate(parent_seq) if ps == (si, a)]
+    if not kids:
+        return 1
+    return sum(terminal_count_oracle(tree, sj, b, parent_seq)
+               for sj in kids for b in range(tree.infosets[sj].num_actions))
 
 
 def reach_probabilities(tree, profile):
@@ -50,15 +114,16 @@ class SequenceFormStrategy:
 
     seq[s][a] = product of the player's own action probabilities along the
     unique own path ending with action a at infoset s. The empty sequence has
-    realization 1.
+    realization 1. parent_seq[s] is infoset s's parent sequence, from
+    `own_sequences`.
     """
 
     def __init__(self, tree, player, profile):
         self.player = player
+        self.parent_seq = own_sequences(tree)[0]
         self.seq = [None] * tree.num_infosets
         for si in tree.infoset_ids(player):
-            s = tree.infosets[si]
-            parent = self.realization(s.parent_seq)
+            parent = self.realization(self.parent_seq[si])
             self.seq[si] = parent * np.asarray(profile[si], dtype=np.float64)
 
     def realization(self, sigma):
@@ -95,7 +160,7 @@ def _alpha_at(alpha, si):
 
 def _dilated_psi_seq(tree, sf, profile, player, alpha, family):
     """Dilated regularizer: parent-sequence realization times local psi."""
-    return sum(sf.realization(tree.infosets[si].parent_seq)
+    return sum(sf.realization(sf.parent_seq[si])
                * local_psi(profile[si], _alpha_at(alpha, si), family)
                for si in tree.infoset_ids(player))
 
@@ -113,7 +178,7 @@ def bregman_tree_direct(tree, profile, ref_profile, player, alpha, family):
     sfr = to_sequence_form(tree, ref_profile, player)
     children = {}
     for si in tree.infoset_ids(player):
-        ps = tree.infosets[si].parent_seq
+        ps = sf.parent_seq[si]
         if ps is not None:
             children.setdefault(ps, []).append(si)
 
@@ -191,8 +256,8 @@ def reg_best_response_recursive(tree, profile, player, tau=0.0, alpha=1.0,
         down[h] = val
         return val
 
-    order = sorted(tree.infoset_ids(player),
-                   key=lambda si: -tree.infosets[si].own_depth)
+    own_depth = own_sequences(tree)[1]
+    order = sorted(tree.infoset_ids(player), key=lambda si: -own_depth[si])
     for si in order:
         s = tree.infosets[si]
         qvec = np.zeros(s.num_actions)

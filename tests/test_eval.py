@@ -344,6 +344,7 @@ def test_compute_reference_step_never_halves_below_the_floor(
 @pytest.mark.parametrize("kw, message", [
     (dict(eta=float("inf")), "eta"), (dict(eta=float("nan")), "eta"),
     (dict(eta=0.0), "eta"), (dict(eta=-1.0), "eta"),
+    (dict(eta=np.full(12, 4.0)), "eta must be one number"),
     (dict(tol=0.0), "tol"), (dict(tol=-1e-7), "tol"),
     (dict(check_every=0), "check_every")])
 def test_compute_reference_rejects_bad_arguments(kuhn, count_full_steps, kw,

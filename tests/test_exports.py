@@ -24,8 +24,8 @@ EXPORTS = [
     "qfr_lazy_eager_step",
     "qfr_stochastic_step", "random_profile", "resolve_game", "run",
     "run_single", "sample_trajectory", "schedule_report",
-    "unflatten_profile", "uniform_profile", "validate_perfect_recall",
-    "validate_profile", "write_csv",
+    "unflatten_profile", "uniform_profile", "validate_profile",
+    "write_csv",
 ]
 
 

@@ -12,10 +12,12 @@ from efglab.game import (CHANCE, PLAYER1, PLAYER2, GameFormatError, GameTree,
                          Infoset, Node, dump_game, expected_utility,
                          exploration_distribution, gamma_lower_bound,
                          load_game, random_profile, uniform_profile,
-                         validate_perfect_recall, validate_profile)
+                         validate_profile)
 from efglab.games import build_kuhn, build_matching_pennies
-from oracles import (expected_utility_traversal, reach_probabilities,
-                     to_sequence_form)
+from oracles import (expected_utility_traversal, own_histories,
+                     own_sequences, reach_probabilities,
+                     terminal_count_oracle, to_sequence_form,
+                     validate_perfect_recall)
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +55,65 @@ def test_kuhn_perfect_recall(kuhn):
     assert validate_perfect_recall(kuhn) == []
 
 
-def test_perfect_recall_violation_reported():
-    # Two player-1 nodes with different own histories merged into infoset 1.
-    root = Node(owner=PLAYER1, infoset=0, actions=["l", "r"], children=[1, 2])
-    mid_l = Node(owner=PLAYER1, infoset=1, actions=["l", "r"],
-                 children=[3, 4])
-    mid_r = Node(owner=PLAYER1, infoset=1, actions=["l", "r"],
-                 children=[5, 6])
-    terms = [Node(utility=0.0) for _ in range(4)]
-    nodes = [root, mid_l, mid_r] + terms
-    s0 = Infoset(PLAYER1, ["l", "r"])
-    s0.members = [0]
-    s1 = Infoset(PLAYER1, ["l", "r"])
-    s1.members = [1, 2]
-    report = validate_perfect_recall(nodes, [s0, s1])
-    assert len(report) == 1
-    assert report[0]["infoset"] == 1
+def _p1(infoset, children):
+    return Node(owner=PLAYER1, infoset=infoset, actions=["l", "r"],
+                children=children)
+
+
+def _two_node_recall_violation():
+    """Player 1's two nodes after its first decision merged into infoset
+    1: their last own pairs differ."""
+    return [_p1(0, [1, 2]), _p1(1, [3, 4]), _p1(1, [5, 6])] + [
+        Node(utility=0.0) for _ in range(4)]
+
+
+def _deep_recall_violation(shallow, deep):
+    """Player 1's two nodes after its first decision merged into infoset
+    `shallow`, and below "l" at each of them a player-1 node, both in
+    infoset `deep`. Those two share their last own pair (shallow, "l");
+    their histories differ only above it."""
+    t = [Node(utility=0.0) for _ in range(6)]
+    return [_p1(0, [1, 6]), _p1(shallow, [2, 5]), _p1(deep, [3, 4]),
+            t[0], t[1], t[2], _p1(shallow, [7, 10]), _p1(deep, [8, 9]),
+            t[3], t[4], t[5]]
+
+
+# The error names the smallest infoset whose members' last own pairs
+# differ: the shallower one, even where the deeper one has the smaller id.
+@pytest.mark.parametrize("nodes, flagged, named", [
+    (_two_node_recall_violation(), [1], 1),
+    (_deep_recall_violation(1, 2), [1, 2], 1),
+    (_deep_recall_violation(2, 1), [1, 2], 2),
+], ids=["two-node", "deep", "deep-numbered-first"])
+def test_imperfect_recall_raises_naming_the_shallower_infoset(nodes, flagged,
+                                                              named):
+    assert [v["infoset"] for v in validate_perfect_recall(nodes)] == flagged
+    infosets = [Infoset(PLAYER1, ["l", "r"]) for _ in range(len(flagged) + 1)]
+    with pytest.raises(GameValidationError,
+                       match=f"imperfect recall: infoset {named} members"):
+        GameTree("x", nodes, infosets)
+
+
+def _pair_of(tree, q):
+    """The (infoset, action) pair of a node_seq entry, None for -1."""
+    if q < 0:
+        return None
+    si = int(tree.pair_infoset[q])
+    return si, int(q - tree.infoset_offset[si])
+
+
+@pytest.mark.parametrize("game", ["kuhn", "leduc", "pennies"])
+def test_node_seq_and_own_depth_match_the_history_walk(game, request):
+    tree = request.getfixturevalue(game)
+    hist = own_histories(tree.nodes)
+    for p in (PLAYER1, PLAYER2):
+        assert ([_pair_of(tree, q) for q in tree.node_seq[p - PLAYER1]]
+                == [h[-1] if h else None for h in hist[p]])
+    parent_seq, own_depth = own_sequences(tree)
+    assert tree.own_depth.dtype == np.int64
+    assert tree.own_depth.tolist() == own_depth
+    parents = tree.node_seq[tree.infoset_owner - PLAYER1, tree.first_member]
+    assert [_pair_of(tree, q) for q in parents] == parent_seq
 
 
 @pytest.mark.parametrize("game", ["kuhn", "leduc"])
@@ -223,7 +268,7 @@ def test_load_rejects_a_file_that_is_not_json(tmp_path):
 def test_sequence_form_uniform_depth_two(kuhn):
     prof = uniform_profile(kuhn)
     for si, s in enumerate(kuhn.infosets):
-        if s.own_depth == 2:
+        if kuhn.own_depth[si] == 2:
             sf = to_sequence_form(kuhn, prof, s.owner)
             assert np.allclose(sf.seq[si], 0.25)
             break
@@ -249,8 +294,7 @@ def test_sequence_form_flow_conservation(kuhn, rng):
         for p in (PLAYER1, PLAYER2):
             sf = to_sequence_form(kuhn, prof, p)
             for si in kuhn.infoset_ids(p):
-                s = kuhn.infosets[si]
-                parent = sf.realization(s.parent_seq)
+                parent = sf.realization(sf.parent_seq[si])
                 assert abs(sf.seq[si].sum() - parent) <= 1e-12
 
 
@@ -330,23 +374,10 @@ def test_expected_utility_two_paths_agree(seed):
 # Exploration distribution and floors
 
 
-def _terminal_count_oracle(tree, si, a):
-    """Number of terminal-for-owner infosets in the subtree of (si, a)."""
-    kids = [sj for sj, s in enumerate(tree.infosets)
-            if s.parent_seq == (si, a)]
-    if not kids:
-        return 1
-    total = 0
-    for sj in kids:
-        total += sum(_terminal_count_oracle(tree, sj, b)
-                     for b in range(tree.infosets[sj].num_actions))
-    return total
-
-
 def test_exploration_distribution_matches_counts(kuhn):
     nu = exploration_distribution(kuhn)
     for si, s in enumerate(kuhn.infosets):
-        counts = np.array([_terminal_count_oracle(kuhn, si, a)
+        counts = np.array([terminal_count_oracle(kuhn, si, a)
                            for a in range(s.num_actions)], dtype=float)
         assert np.allclose(nu[si], counts / counts.sum())
         assert np.all(nu[si] > 0.0)
@@ -356,7 +387,7 @@ def test_exploration_distribution_leaf_uniform(kuhn):
     nu = exploration_distribution(kuhn)
     found = False
     for si, s in enumerate(kuhn.infosets):
-        if all(_terminal_count_oracle(kuhn, si, a) == 1
+        if all(terminal_count_oracle(kuhn, si, a) == 1
                for a in range(s.num_actions)):
             assert np.allclose(nu[si], 0.5)
             found = True
@@ -400,6 +431,14 @@ def test_row_groups_and_infoset_depth_are_built_once_and_read_only(kuhn,
 def test_gamma_lower_bound_instances(kuhn):
     assert gamma_lower_bound(kuhn, 1.0) == pytest.approx(1.0 / 12.0)
     assert gamma_lower_bound(kuhn, 0.1) == pytest.approx(0.01 / 12.0)
+    assert gamma_lower_bound(kuhn, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("gamma0", [-1.0, 1.5, float("nan")])
+def test_gamma_lower_bound_rejects_gamma_outside_the_unit_interval(kuhn,
+                                                                   gamma0):
+    with pytest.raises(ValueError, match=r"gamma must be finite and in \[0"):
+        gamma_lower_bound(kuhn, gamma0)
 
 
 def test_gamma_lower_bound_single_infoset():

@@ -437,6 +437,26 @@ def test_cli_run_reports_non_finite_metric(tmp_path, capsys, nan_pga):
     assert lines[1][2] == "nan"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--algo", "mmd", "--feedback", "q", "--reg", "euclidean",
+     "--alpha", "1e-300", "--eta", "1e300", "--tau", "0.1",
+     "--gamma", "0.01", "--iters", "3", "--eval-every", "1"],
+    ["--algo", "pga", "--feedback", "cf", "--reg", "euclidean",
+     "--gamma", "0.01", "--iters", "5", "--eval-every", "5"],
+], ids=["mmd-overflow", "nan-pga"])
+def test_cli_run_prints_no_non_finite_value(tmp_path, capsys, nan_pga,
+                                            argv):
+    rc = cli_main(["run", "--game", "kuhn", *argv,
+                   "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines()[-1].startswith(
+        "error: non-finite")
+    tokens = captured.out.replace("=", " ").lower().split()
+    assert not {"nan", "inf", "-inf"} & set(tokens)
+    assert "non-finite" in captured.out
+
+
 def test_cli_run_with_a_huge_finite_step_reports_a_finite_metric(tmp_path):
     out = tmp_path / "r.csv"
     rc = cli_main(["run", "--game", "kuhn", "--algo", "pga",

@@ -9,7 +9,8 @@ from efglab.regularizers import ENTROPY, local_psi
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            estimate_trajectory_q, infoset_reach, multiplier,
                            reach_flat, sample_trajectory)
-from oracles import opponent_reach, reach_probabilities, to_sequence_form
+from oracles import (opponent_reach, own_sequences, reach_probabilities,
+                     to_sequence_form)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +99,8 @@ def test_trajectory_q_equals_cf_at_top_infosets(kuhn, rng):
     prof = random_profile(kuhn, rng, min_prob=1e-4)
     tq = compute_feedback(kuhn, prof, TRAJQ)
     cf = compute_feedback(kuhn, prof, CF)
-    for si, s in enumerate(kuhn.infosets):
-        if s.parent_seq is None:
+    for si, ps in enumerate(own_sequences(kuhn)[0]):
+        if ps is None:
             assert np.allclose(tq.q[si], cf.q[si], atol=1e-14)
 
 
@@ -107,8 +108,9 @@ def test_qvalue_errors_on_zero_opponent_reach(kuhn):
     prof = uniform_profile(kuhn)
     # Player 1 never takes their first action anywhere: the player-2
     # infosets behind it become unreachable.
+    parent_seq = own_sequences(kuhn)[0]
     for si in kuhn.infoset_ids(PLAYER1):
-        if kuhn.infosets[si].parent_seq is None:
+        if parent_seq[si] is None:
             prof[si] = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="opponent reach"):
         compute_feedback(kuhn, prof, QVALUE)
@@ -116,8 +118,9 @@ def test_qvalue_errors_on_zero_opponent_reach(kuhn):
 
 def test_trajq_errors_on_zero_own_reach(kuhn):
     prof = uniform_profile(kuhn)
+    parent_seq = own_sequences(kuhn)[0]
     for si in kuhn.infoset_ids(PLAYER1):
-        if kuhn.infosets[si].parent_seq is None:
+        if parent_seq[si] is None:
             prof[si] = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="own reach"):
         compute_feedback(kuhn, prof, TRAJQ)
@@ -128,8 +131,9 @@ def test_infoset_reach_matches_oracles(leduc, rng):
     own, opp = infoset_reach(leduc,
                              reach_flat(leduc, flatten_profile(leduc, prof)))
     sf = {p: to_sequence_form(leduc, prof, p) for p in (PLAYER1, PLAYER2)}
-    want_own = [sf[s.owner].realization(s.parent_seq)
-                for s in leduc.infosets]
+    parent_seq = own_sequences(leduc)[0]
+    want_own = [sf[s.owner].realization(parent_seq[si])
+                for si, s in enumerate(leduc.infosets)]
     assert np.allclose(own, want_own, rtol=1e-12, atol=0.0)
     assert np.allclose(opp, _opponent_reach_oracle(leduc, prof),
                        rtol=1e-12, atol=0.0)
@@ -219,13 +223,14 @@ def test_augmentation_equals_descendant_sum_form(kuhn, rng):
     psis = np.array([local_psi(prof[si], 1.0, ENTROPY)
                      for si in range(kuhn.num_infosets)])
     sf = {p: to_sequence_form(kuhn, prof, p) for p in (PLAYER1, PLAYER2)}
+    parent_seq = own_sequences(kuhn)[0]
 
     def own_chain(si):
         chain = []
-        seq = kuhn.infosets[si].parent_seq
+        seq = parent_seq[si]
         while seq is not None:
             chain.append(seq)
-            seq = kuhn.infosets[seq[0]].parent_seq
+            seq = parent_seq[seq[0]]
         return chain
 
     def passes_through(h, si, a):
@@ -249,7 +254,7 @@ def test_augmentation_equals_descendant_sum_form(kuhn, rng):
             own_part = 0.0
             for sj, s2 in enumerate(kuhn.infosets):
                 if s2.owner == p and (si, a) in own_chain(sj):
-                    parent_mass = sf[p].realization(s2.parent_seq)
+                    parent_mass = sf[p].realization(parent_seq[sj])
                     own_part += (parent_mass / seq_mass) * opp_r[sj] \
                         * psis[sj]
             opp_part = 0.0
