@@ -112,7 +112,7 @@ def _grid(spec):
         ranked, best = grid(spec)
     print(f"cells: {len(ranked)}")
     print(f"best: eta={best['eta']} tau={best['tau']} "
-          f"gamma={best['gamma']} expl={best['expl']:.6g}"
+          f"gamma={best['gamma']} expl={_metric(best['expl'])}"
           + (" (diverged: every cell is non-finite)"
              if best["diverged"] else ""))
     return 0

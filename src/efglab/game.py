@@ -39,7 +39,7 @@ class Node:
     """
 
     __slots__ = ("owner", "infoset", "actions", "children", "chance_probs",
-                 "utility", "parent", "parent_action", "depth")
+                 "utility")
 
     def __init__(self, owner=None, infoset=None, actions=None, children=None,
                  chance_probs=None, utility=None):
@@ -49,9 +49,6 @@ class Node:
         self.children = children if children is not None else []
         self.chance_probs = chance_probs
         self.utility = utility
-        self.parent = -1
-        self.parent_action = -1
-        self.depth = 0
 
     @property
     def is_terminal(self):
@@ -65,18 +62,16 @@ class Node:
 class Infoset:
     """A set of nodes indistinguishable to their owner.
 
-    depth is the maximum member node depth counted in actions of all
-    players. The owner's own depth and parent sequence are on the tree
-    (`GameTree.own_depth`, `GameTree.node_seq`).
+    Its members, depths and parent sequence are on the tree
+    (`GameTree.member_node`, `GameTree.infoset_depth`, `GameTree.own_depth`,
+    `GameTree.node_seq`).
     """
 
-    __slots__ = ("owner", "actions", "members", "depth")
+    __slots__ = ("owner", "actions")
 
     def __init__(self, owner, actions):
         self.owner = owner
         self.actions = actions
-        self.members = []
-        self.depth = 0
 
     @property
     def num_actions(self):
@@ -107,7 +102,25 @@ class GameTree:
 
     def _finalize(self):
         """Validate structure and build traversal caches."""
-        _validate_structure(self)
+        depth_arr = _validate_structure(self)
+
+        # Members: the decision nodes stably sorted by infoset, so each
+        # infoset's members run in ascending node order from first_member.
+        dec_node, node_infoset = np.asarray(
+            [(i, n.infoset) for i, n in enumerate(self.nodes)
+             if not n.is_terminal and not n.is_chance], dtype=np.int64).T
+        count = np.bincount(node_infoset, minlength=self.num_infosets)
+        if not count.all():
+            raise GameValidationError(
+                f"infoset {count.argmin()} has no member nodes")
+        order = np.argsort(node_infoset, kind="stable")
+        self.member_node = dec_node[order]
+        self.member_infoset = node_infoset[order]
+        starts = np.concatenate([[0], np.cumsum(count)[:-1]])
+        self.first_member = self.member_node[starts]
+        # Depth in actions of all players: the deepest member's node depth.
+        self.infoset_depth = np.maximum.reduceat(depth_arr[self.member_node],
+                                                 starts)
 
         # Flat edge arrays grouped by parent depth (descending order is a
         # backward value sweep; ascending is a forward reach sweep). Chance
@@ -117,7 +130,6 @@ class GameTree:
                  for i, n in enumerate(self.nodes)
                  for a, c in enumerate(n.children)]
         parent, child, infoset, action, prob = zip(*edges)
-        depth_arr = np.asarray([n.depth for n in self.nodes], dtype=np.int64)
         order = np.argsort(depth_arr[list(parent)], kind="stable")
         self.edge_parent = np.asarray(parent, dtype=np.int64)[order]
         self.edge_child = np.asarray(child, dtype=np.int64)[order]
@@ -142,13 +154,6 @@ class GameTree:
         self.num_pairs = int(self.actions_per_infoset.sum())
         self.pair_infoset = np.repeat(np.arange(self.num_infosets),
                                       self.actions_per_infoset)
-        self.member_node = np.asarray(
-            [h for s in self.infosets for h in s.members], dtype=np.int64)
-        self.member_infoset = np.repeat(
-            np.arange(self.num_infosets),
-            np.asarray([len(s.members) for s in self.infosets]))
-        self.first_member = np.asarray([s.members[0] for s in self.infosets],
-                                       dtype=np.int64)
         self.infoset_owner = np.asarray([s.owner for s in self.infosets],
                                         dtype=np.int64)
 
@@ -228,13 +233,13 @@ class GameTree:
             pairs = self.infoset_offset[idx][:, None] + np.arange(na)
             groups.append((idx, pairs, nu_flat[pairs]))
         self.row_groups = tuple(groups)
-        self.infoset_depth = np.asarray([s.depth for s in self.infosets],
-                                        dtype=np.int64)
         for a in (self.infoset_depth, *(a for g in groups for a in g)):
             a.flags.writeable = False
 
 
 def _validate_structure(tree):
+    """Check the game document; return each node's depth (int64) in
+    actions of all players."""
     nodes = tree.nodes
     if not nodes:
         raise GameValidationError("game has no nodes")
@@ -281,11 +286,11 @@ def _validate_structure(tree):
     if not any(n.owner in (PLAYER1, PLAYER2) for n in nodes):
         raise GameValidationError("game has no decision nodes")
 
-    # Reachability, parent links, topological order, depths.
+    # Reachability, one parent per node, topological order, depths.
     parent = [-1] * len(nodes)
-    parent_action = [-1] * len(nodes)
+    depth = [0] * len(nodes)
     for i, n in enumerate(nodes):
-        for a, c in enumerate(n.children):
+        for c in n.children:
             if not 0 <= c < len(nodes):
                 raise GameValidationError(f"node {i}: child {c} out of range")
             if c <= i:
@@ -294,24 +299,11 @@ def _validate_structure(tree):
             if parent[c] != -1:
                 raise GameValidationError(f"node {c} has two parents")
             parent[c] = i
-            parent_action[c] = a
+            depth[c] = depth[i] + 1
     for i in range(1, len(nodes)):
         if parent[i] == -1:
             raise GameValidationError(f"node {i} unreachable from root")
-    for i, n in enumerate(nodes):
-        n.parent = parent[i]
-        n.parent_action = parent_action[i]
-        n.depth = 0 if parent[i] == -1 else nodes[parent[i]].depth + 1
-
-    members = [[] for _ in tree.infosets]
-    for i, n in enumerate(nodes):
-        if not n.is_terminal and not n.is_chance:
-            members[n.infoset].append(i)
-    for si, s in enumerate(tree.infosets):
-        s.members = members[si]
-        if not s.members:
-            raise GameValidationError(f"infoset {si} has no member nodes")
-        s.depth = max(nodes[i].depth for i in s.members)
+    return np.asarray(depth, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

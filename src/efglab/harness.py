@@ -183,15 +183,19 @@ def run_single(cfg, seed, reference=None, tree=None):
     t0 = time.perf_counter()
     rows = []
     violations = 0
-    for it in range(1, cfg.iters + 1):
-        step()
-        if it == cfg.iters or (cfg.eval_every and it % cfg.eval_every == 0):
-            if cfg.algo in LAZY:
-                lazy_catch_up(state, tree, params)
-            row, v = _eval_row(tree, cfg, params, state, seed, it, t0,
-                               reference, constants)
-            rows.append(row)
-            violations += v
+    # A diverging run shows as non-finite metrics in its rows, not as
+    # numpy warnings from every step after it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, cfg.iters + 1):
+            step()
+            if it == cfg.iters or (cfg.eval_every
+                                   and it % cfg.eval_every == 0):
+                if cfg.algo in LAZY:
+                    lazy_catch_up(state, tree, params)
+                row, v = _eval_row(tree, cfg, params, state, seed, it, t0,
+                                   reference, constants)
+                rows.append(row)
+                violations += v
     return RunOutcome(rows, violations, state.profile(tree))
 
 

@@ -1,9 +1,11 @@
 """Slow reference implementations that check the library's flat paths.
 
 Each oracle works node by node or in sequence form, apart from
-`efglab.values.reach_flat`: each player's own action history at every node
-by one parent-before-child pass (and from it perfect recall, each
-infoset's parent sequence and own depth, which the tree reads off
+`efglab.values.reach_flat`: each node's parent and depth and each
+infoset's members and depth by walks that read only the game document
+(`children`, `infoset`, `owner`), each player's own action history at
+every node by one parent-before-child pass (and from it perfect recall,
+each infoset's parent sequence and own depth, which the tree reads off
 `node_seq`, and the terminal counts behind the exploration distribution),
 per-node reach by one parent-before-child pass, sequence-form realization
 plans by recursion over parent sequences, expected utility by backward
@@ -39,6 +41,42 @@ def own_histories(nodes):
                     h = h + ((n.infoset, a),)
                 hist[p][c] = h
     return hist
+
+
+def parent_links(nodes):
+    """Each node's (parent, action into it) by a walk over `children`;
+    (-1, -1) at the root."""
+    up = [(-1, -1)] * len(nodes)
+    for i, n in enumerate(nodes):
+        for a, c in enumerate(n.children):
+            up[c] = (i, a)
+    return up
+
+
+def node_depths(nodes):
+    """Each node's depth in actions of all players, by one
+    parent-before-child walk over `children`."""
+    depth = [0] * len(nodes)
+    for i, n in enumerate(nodes):
+        for c in n.children:
+            depth[c] = depth[i] + 1
+    return depth
+
+
+def infoset_members(tree):
+    """Per infoset, its member nodes in ascending order, read off each
+    decision node's `infoset`."""
+    members = [[] for _ in tree.infosets]
+    for i, n in enumerate(tree.nodes):
+        if n.owner in (PLAYER1, PLAYER2):
+            members[n.infoset].append(i)
+    return members
+
+
+def infoset_depths(tree):
+    """Per infoset, the largest node depth among its members."""
+    depth = node_depths(tree.nodes)
+    return [max(depth[h] for h in hs) for hs in infoset_members(tree)]
 
 
 def _member_histories(nodes):
@@ -257,12 +295,13 @@ def reg_best_response_recursive(tree, profile, player, tau=0.0, alpha=1.0,
         return val
 
     own_depth = own_sequences(tree)[1]
+    members = infoset_members(tree)
     order = sorted(tree.infoset_ids(player), key=lambda si: -own_depth[si])
     for si in order:
         s = tree.infosets[si]
         qvec = np.zeros(s.num_actions)
         w_s = 0.0
-        for h in s.members:
+        for h in members[si]:
             w_s += w[h]
             for a, c in enumerate(tree.nodes[h].children):
                 qvec[a] += resolve(c)
@@ -383,11 +422,11 @@ def schedule_report_walk(tree, eta, constants, alpha=1.0, tol=1e-12):
     max_k = float(np.max(k_ent))
 
     va, vb, vc = [], [], []
-    for si, s in enumerate(tree.infosets):
-        a_val = max(cum[s.owner][h] for h in s.members)
+    for si, (s, hs) in enumerate(zip(tree.infosets, infoset_members(tree))):
+        a_val = max(cum[s.owner][h] for h in hs)
         if a_val > eta[si] + tol:
             va.append((si, a_val))
-        eta_anc = max(anc[h] for h in s.members)
+        eta_anc = max(anc[h] for h in hs)
         with np.errstate(invalid="ignore"):  # 0 * inf
             b_val = 6.0 * eta_anc * max_k
         if b_val > 1.0 + tol:

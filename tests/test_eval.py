@@ -17,7 +17,8 @@ from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  rate_array)
 from efglab.solvers import SolverParams, SolverState, cfr_step
 from efglab.values import CF, compute_feedback, reach_flat
-from oracles import reg_best_response_recursive
+from oracles import (infoset_members, node_depths,
+                     reg_best_response_recursive)
 
 
 def _pure_strategy_values(tree, profile, player):
@@ -400,52 +401,12 @@ def test_average_regret_bounds_exploitability(kuhn):
 # ---------------------------------------------------------------------------
 # The flat best response against the recursive oracle
 
-# Player 2's infoset 1 has one member right after player 1's first move and
-# one behind a chance node, so its members lie at node depths 1 and 2.
-MIXED_DEPTH_DOC = {
-    "name": "mixed-depth",
-    "root": 0,
-    "nodes": [
-        {"id": 0, "kind": "p1", "infoset": 0, "actions": [
-            {"label": "L", "child": 1}, {"label": "R", "child": 2}]},
-        {"id": 1, "kind": "p2", "infoset": 1, "actions": [
-            {"label": "a", "child": 3}, {"label": "b", "child": 4}]},
-        {"id": 2, "kind": "chance", "actions": [
-            {"label": "x", "child": 5, "prob": 0.3},
-            {"label": "y", "child": 6, "prob": 0.7}]},
-        {"id": 3, "kind": "p1", "infoset": 2, "actions": [
-            {"label": "u", "child": 7}, {"label": "d", "child": 8},
-            {"label": "s", "child": 15}]},
-        {"id": 4, "kind": "terminal", "utility_p1": 0.5},
-        {"id": 5, "kind": "p2", "infoset": 1, "actions": [
-            {"label": "a", "child": 9}, {"label": "b", "child": 10}]},
-        {"id": 6, "kind": "p2", "infoset": 3, "actions": [
-            {"label": "c", "child": 11}, {"label": "e", "child": 12}]},
-        {"id": 7, "kind": "terminal", "utility_p1": 1.0},
-        {"id": 8, "kind": "terminal", "utility_p1": -0.5},
-        {"id": 9, "kind": "p1", "infoset": 4, "actions": [
-            {"label": "u", "child": 13}, {"label": "d", "child": 14}]},
-        {"id": 10, "kind": "terminal", "utility_p1": -1.0},
-        {"id": 11, "kind": "terminal", "utility_p1": 0.25},
-        {"id": 12, "kind": "terminal", "utility_p1": -0.25},
-        {"id": 13, "kind": "terminal", "utility_p1": -0.75},
-        {"id": 14, "kind": "terminal", "utility_p1": 0.6},
-        {"id": 15, "kind": "terminal", "utility_p1": 0.1},
-    ],
-}
-
 TIE_TOL = 1e-12
 
 
-@pytest.fixture(scope="module")
-def mixed_depth():
-    return load_game(MIXED_DEPTH_DOC)
-
-
 def test_mixed_depth_game_shape(mixed_depth):
-    depths = [mixed_depth.nodes[h].depth
-              for h in mixed_depth.infosets[1].members]
-    assert sorted(depths) == [1, 2]
+    depths = node_depths(mixed_depth.nodes)
+    assert sorted(depths[h] for h in infoset_members(mixed_depth)[1]) == [1, 2]
 
 
 def _setting(tree, name, rng):

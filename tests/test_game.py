@@ -1,6 +1,7 @@
 """Tree construction, serialization, sequence form, and reach machinery."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from efglab.game import (CHANCE, PLAYER1, PLAYER2, GameFormatError, GameTree,
                          load_game, random_profile, uniform_profile,
                          validate_profile)
 from efglab.games import build_kuhn, build_matching_pennies
-from oracles import (expected_utility_traversal, own_histories,
-                     own_sequences, reach_probabilities,
+from oracles import (expected_utility_traversal, infoset_depths,
+                     infoset_members, own_histories, own_sequences,
+                     parent_links, reach_probabilities,
                      terminal_count_oracle, to_sequence_form,
                      validate_perfect_recall)
 
@@ -116,19 +118,49 @@ def test_node_seq_and_own_depth_match_the_history_walk(game, request):
     assert [_pair_of(tree, q) for q in parents] == parent_seq
 
 
-@pytest.mark.parametrize("game", ["kuhn", "leduc"])
-def test_member_order_is_ascending_node_index(game, request):
+@pytest.mark.parametrize("game", ["kuhn", "leduc", "pennies", "mixed_depth"])
+def test_member_arrays_and_infoset_depth_match_the_walk(game, request):
     tree = request.getfixturevalue(game)
-    want_nodes, want_sets = [], []
-    for si in range(tree.num_infosets):
-        mine = [i for i, n in enumerate(tree.nodes)
-                if not n.is_terminal and not n.is_chance and n.infoset == si]
-        want_nodes += mine
-        want_sets += [si] * len(mine)
-    assert np.array_equal(tree.member_node, want_nodes)
-    assert np.array_equal(tree.member_infoset, want_sets)
-    assert np.array_equal(tree.first_member,
-                          [s.members[0] for s in tree.infosets])
+    members = infoset_members(tree)
+    for got, want in [
+            (tree.member_node, [h for hs in members for h in hs]),
+            (tree.member_infoset,
+             [si for si, hs in enumerate(members) for _ in hs]),
+            (tree.first_member, [hs[0] for hs in members]),
+            (tree.infoset_depth, infoset_depths(tree))]:
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
+def test_node_and_infoset_hold_only_the_game_document():
+    assert Node.__slots__ == ("owner", "infoset", "actions", "children",
+                              "chance_probs", "utility")
+    assert Infoset.__slots__ == ("owner", "actions")
+
+
+def _leaf():
+    return Node(utility=0.0)
+
+
+# Infoset 1 never has a member (nor an action): each structural error
+# fires before the member check, and the member check, on the last
+# structure, fires before any later step could run on that infoset.
+@pytest.mark.parametrize("nodes, message", [
+    ([_p1(0, [1, 3]), _leaf(), _leaf()], "node 0: child 3 out of range"),
+    ([_p1(0, [1, 2]),
+      Node(owner=CHANCE, actions=["a", "b"], children=[3, 1],
+           chance_probs=[0.5, 0.5]), _leaf(), _leaf()],
+     "node 1: child 1 not in topological order"),
+    ([_p1(0, [1, 1]), _leaf()], "node 1 has two parents"),
+    ([_p1(0, [1, 2]), _leaf(), _leaf(), _leaf()],
+     "node 3 unreachable from root"),
+    ([_p1(0, [1, 2]), _leaf(), _leaf()], "infoset 1 has no member nodes"),
+], ids=["out-of-range", "not-topological", "two-parents", "unreachable",
+        "no-members"])
+def test_faulty_structure_is_rejected_with_its_message(nodes, message):
+    infosets = [Infoset(PLAYER1, ["l", "r"]), Infoset(PLAYER2, [])]
+    with pytest.raises(GameValidationError, match=f"^{re.escape(message)}$"):
+        GameTree("x", nodes, infosets)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +343,12 @@ def test_reach_multiplicativity(kuhn, rng):
     prof = random_profile(kuhn, rng)
     mu1, mu2, muc = reach_probabilities(kuhn, prof)
     # Path-product oracle: multiply every edge probability from the root.
+    up = parent_links(kuhn.nodes)
     for i, node in enumerate(kuhn.nodes):
         path = 1.0
         j = i
-        while kuhn.nodes[j].parent >= 0:
-            par = kuhn.nodes[j].parent
-            a = kuhn.nodes[j].parent_action
+        while up[j][0] >= 0:
+            par, a = up[j]
             pn = kuhn.nodes[par]
             if pn.is_chance:
                 path *= pn.chance_probs[a]
@@ -423,7 +455,7 @@ def test_row_groups_and_infoset_depth_are_built_once_and_read_only(kuhn,
                     a[0] = 0
         depth = tree.infoset_depth
         assert depth.dtype == np.int64
-        assert depth.tolist() == [s.depth for s in tree.infosets]
+        assert depth.tolist() == infoset_depths(tree)
         with pytest.raises(ValueError):
             depth[0] = 0
 

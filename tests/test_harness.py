@@ -211,7 +211,9 @@ def test_cli_grid_marks_a_diverged_best_cell(tmp_path, capsys, nan_pga):
         "grid": {"eta": [0.1], "tau": [0.0], "gamma": [0.01]}}))
     assert cli_main(["grid", "--spec", str(spec_path)]) == 0
     out = capsys.readouterr().out
-    assert "expl=nan (diverged" in out
+    assert "expl=non-finite (diverged" in out
+    tokens = out.replace("=", " ").lower().split()
+    assert not {"nan", "inf", "-inf"} & set(tokens)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -444,6 +446,7 @@ def test_cli_run_reports_non_finite_metric(tmp_path, capsys, nan_pga):
     ["--algo", "pga", "--feedback", "cf", "--reg", "euclidean",
      "--gamma", "0.01", "--iters", "5", "--eval-every", "5"],
 ], ids=["mmd-overflow", "nan-pga"])
+@pytest.mark.filterwarnings("error")  # no numpy warning leaks either
 def test_cli_run_prints_no_non_finite_value(tmp_path, capsys, nan_pga,
                                             argv):
     rc = cli_main(["run", "--game", "kuhn", *argv,

@@ -14,8 +14,9 @@ from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  bregman_tree, floor_fit, local_psi,
                                  project_truncated_simplex, prox_step)
 from oracles import (bidilated_psi, bregman_tree_direct, dilated_psi,
-                     entropy_floor_fit_sort, full_simplex, local_psi_grad,
-                     project_floored_sort, reach_probabilities)
+                     entropy_floor_fit_sort, full_simplex, infoset_members,
+                     local_psi_grad, project_floored_sort,
+                     reach_probabilities)
 
 
 def _random_simplex_point(rng, n):
@@ -126,11 +127,12 @@ def _dilated_oracle(tree, profile, player, alpha, family):
     reach product; sum psi per decision node and divide by member count."""
     mu1, mu2, _ = reach_probabilities(tree, profile)
     own = mu1 if player == PLAYER1 else mu2
+    members = infoset_members(tree)
     total = 0.0
     for h, nd in enumerate(tree.nodes):
         if nd.is_terminal or nd.is_chance or nd.owner != player:
             continue
-        count = len(tree.infosets[nd.infoset].members)
+        count = len(members[nd.infoset])
         total += own[h] / count * local_psi(profile[nd.infoset], alpha,
                                             family)
     return total

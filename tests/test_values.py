@@ -9,7 +9,8 @@ from efglab.regularizers import ENTROPY, local_psi
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            estimate_trajectory_q, infoset_reach, multiplier,
                            reach_flat, sample_trajectory)
-from oracles import (opponent_reach, own_sequences, reach_probabilities,
+from oracles import (infoset_members, node_depths, opponent_reach,
+                     own_sequences, parent_links, reach_probabilities,
                      to_sequence_form)
 
 
@@ -52,9 +53,9 @@ def test_reach_flat_is_bit_identical_to_node_oracle(game, request, rng):
 def _opponent_reach_oracle(tree, profile):
     mu1, mu2, muc = reach_probabilities(tree, profile)
     out = np.zeros(tree.num_infosets)
-    for si, s in enumerate(tree.infosets):
+    for si, (s, hs) in enumerate(zip(tree.infosets, infoset_members(tree))):
         opp = mu2 if s.owner == PLAYER1 else mu1
-        out[si] = sum(muc[h] * opp[h] for h in s.members)
+        out[si] = sum(muc[h] * opp[h] for h in hs)
     return out
 
 
@@ -175,10 +176,10 @@ def _augmented_value_oracle(tree, profile, node, player, tau, alpha, family):
 def _augmented_cf_oracle(tree, profile, tau, alpha, family):
     mu1, mu2, muc = reach_probabilities(tree, profile)
     cf = []
-    for si, s in enumerate(tree.infosets):
+    for s, hs in zip(tree.infosets, infoset_members(tree)):
         opp = mu2 if s.owner == PLAYER1 else mu1
         vec = np.zeros(s.num_actions)
-        for h in s.members:
+        for h in hs:
             for a, c in enumerate(tree.nodes[h].children):
                 vec[a] += muc[h] * opp[h] * _augmented_value_oracle(
                     tree, profile, c, s.owner, tau, alpha, family)
@@ -224,6 +225,7 @@ def test_augmentation_equals_descendant_sum_form(kuhn, rng):
                      for si in range(kuhn.num_infosets)])
     sf = {p: to_sequence_form(kuhn, prof, p) for p in (PLAYER1, PLAYER2)}
     parent_seq = own_sequences(kuhn)[0]
+    up = parent_links(kuhn.nodes)
 
     def own_chain(si):
         chain = []
@@ -236,8 +238,8 @@ def test_augmentation_equals_descendant_sum_form(kuhn, rng):
     def passes_through(h, si, a):
         """Whether node h's root path leaves infoset si via action a."""
         j = h
-        while kuhn.nodes[j].parent >= 0:
-            par, act = kuhn.nodes[j].parent, kuhn.nodes[j].parent_action
+        while up[j][0] >= 0:
+            par, act = up[j]
             pn = kuhn.nodes[par]
             if not pn.is_chance and not pn.is_terminal \
                     and pn.infoset == si and act == a:
@@ -283,7 +285,7 @@ def test_deterministic_profile_unique_path(pennies):
 
 def test_trajectory_length_bounded(kuhn, rng):
     prof = random_profile(kuhn, rng, min_prob=1e-3)
-    height = max(n.depth for n in kuhn.nodes)
+    height = max(node_depths(kuhn.nodes))
     for _ in range(200):
         traj = sample_trajectory(kuhn, prof, rng)
         assert traj.num_steps <= height
