@@ -11,6 +11,7 @@ arithmetic, so both must give the same states bit for bit.
 import numpy as np
 import pytest
 
+from efglab.game import PLAYER1
 from efglab.regularizers import ENTROPY, EUCLIDEAN
 from efglab.solvers import (SolverParams, SolverState, lazy_catch_up,
                             lazy_qfr_step, qfr_lazy_eager_step,
@@ -149,3 +150,71 @@ def test_eager_step_matches_oracle(request, game, family):
         qfr_lazy_eager_step(got, tree, params, traj=traj)
         oracle_eager_step(want, tree, params, traj)
     _assert_same_state(got, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lazy_step_with_mixed_frozen_weights_matches_oracle(leduc, family):
+    """Rows moved away from their initial strategies, with frozen weights
+    of two sizes and 0 on every fifth moved row, then eight lazy steps:
+    the oracle leaves rows with 0 to 8 steps pending and catches them up
+    at the end. A row whose frozen weight stays 0 never moves."""
+    tree = leduc
+    params = _params(tree, family)
+    got = SolverState(tree, params)
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        qfr_stochastic_step(got, tree, params, rng)
+    moved = np.flatnonzero([not np.array_equal(got.cur_views[si], row)
+                            for si, row in enumerate(
+                                SolverState(tree, params).cur_views)])
+    assert set(tree.actions_per_infoset[moved]) == {2, 3}
+    got.last_tau0[:] = np.where(tree.infoset_owner == PLAYER1, 0.01, 0.002)
+    got.last_tau0[moved[::5]] = 0.0
+    want = LazyOracleState(tree, params)
+    for name in ("cur", "bar", "last_tau0"):
+        getattr(want, name)[:] = getattr(got, name)
+    want.t = got.t
+    want.last_seen[:] = got.t
+    before = got.cur.copy()
+
+    for _ in range(8):
+        traj = sample_trajectory(tree, got.cur_views, rng)
+        lazy_qfr_step(got, tree, params, traj=traj)
+        oracle_lazy_step(want, tree, params, traj=traj)
+    pending = want.t - want.last_seen
+    assert pending.min() == 0 and pending.max() == 8
+    oracle_catch_up(want, tree, params)
+    _assert_same_state(got, want)
+    frozen = moved[::5][got.last_tau0[moved[::5]] == 0.0]
+    assert frozen.size > 0
+    for si in frozen:
+        off, na = tree.infoset_offset[si], tree.actions_per_infoset[si]
+        assert np.array_equal(got.cur[off:off + na], before[off:off + na])
+    assert not np.array_equal(got.cur, before)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lazy_rows_at_their_fixed_point_match_oracle(leduc, family):
+    """With tau = 1e-3 most Leduc rows sit at the fixed point of their
+    zero-feedback step (the step returns bar bit for bit); the batched
+    lazy step keeps updating them and stays bit-equal to the oracle,
+    which replays every pending step one row at a time."""
+    tree = leduc
+    params = SolverParams(tree, feedback=TRAJQ, family=family, tau=1e-3,
+                          gamma=1e-2, eta=1e-2)
+    got, want = SolverState(tree, params), LazyOracleState(tree, params)
+    r_got, r_want = np.random.default_rng(21), np.random.default_rng(21)
+    for it in range(1, 21):
+        traj = lazy_qfr_step(got, tree, params, r_got)
+        assert _same_trajectory(traj, oracle_lazy_step(want, tree, params,
+                                                       r_want))
+        if it % 10 == 0:
+            oracle_catch_up(want, tree, params)
+            _assert_same_state(got, want)
+    fixed = 0
+    for si in range(tree.num_infosets):
+        off, na = tree.infoset_offset[si], tree.actions_per_infoset[si]
+        bar = got.bar[off:off + na].copy()
+        two_prox_row(tree, want, params, si, np.zeros(na), got.last_tau0[si])
+        fixed += want.bar[off:off + na].tobytes() == bar.tobytes()
+    assert 0 < fixed < tree.num_infosets

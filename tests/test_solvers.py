@@ -18,7 +18,8 @@ from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             schedule_report)
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            sample_trajectory)
-from oracles import schedule_report_walk, to_sequence_form
+from oracles import (LazyOracleState, oracle_catch_up, oracle_lazy_step,
+                     schedule_report_walk, to_sequence_form)
 
 
 def _single_decision_game():
@@ -235,6 +236,54 @@ def test_lazy_equals_stochastic_at_tau_zero(kuhn):
         lazy_qfr_step(s_lazy, kuhn, params, r2)
         assert np.array_equal(s_eager.cur, s_lazy.cur)
         assert np.array_equal(s_eager.bar, s_lazy.bar)
+
+
+def test_lazy_eager_equivalence_shared_trajectories(kuhn):
+    params = SolverParams(kuhn, feedback=TRAJQ, family=ENTROPY, tau=0.01,
+                          gamma=0.05, eta=0.05)
+    s_lazy = LazyOracleState(kuhn, params)
+    s_eager = SolverState(kuhn, params)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        traj = sample_trajectory(kuhn, s_eager.cur_views, rng)
+        lazy_qfr_step(s_eager, kuhn, params, traj=traj)
+        oracle_lazy_step(s_lazy, kuhn, params, traj=traj)
+        # The library state is fully up to date each iteration; the
+        # deferred oracle agrees exactly on every caught-up infoset.
+        for si in range(kuhn.num_infosets):
+            if s_lazy.last_seen[si] == s_lazy.t:
+                off = kuhn.infoset_offset[si]
+                na = kuhn.actions_per_infoset[si]
+                assert np.array_equal(s_lazy.cur[off:off + na],
+                                      s_eager.cur[off:off + na])
+    oracle_catch_up(s_lazy, kuhn, params)
+    assert np.array_equal(s_lazy.cur, s_eager.cur)
+    assert np.array_equal(s_lazy.bar, s_eager.bar)
+
+
+def test_lazy_no_pending_steps_single_update(kuhn):
+    """From the initial state nothing is pending: one lazy step matches the
+    deferred oracle at the visited infosets, and the oracle's one pending
+    step at every other infoset gives the library's update there."""
+    params = SolverParams(kuhn, feedback=TRAJQ, family=ENTROPY, tau=0.01,
+                          gamma=0.05, eta=0.05)
+    s1 = SolverState(kuhn, params)
+    s2 = LazyOracleState(kuhn, params)
+    traj = sample_trajectory(kuhn, s1.cur_views, np.random.default_rng(3))
+    lazy_qfr_step(s1, kuhn, params, traj=traj)
+    oracle_lazy_step(s2, kuhn, params, traj=traj)
+    visited = {kuhn.nodes[n].infoset for n in traj.nodes
+               if not kuhn.nodes[n].is_chance
+               and not kuhn.nodes[n].is_terminal}
+    assert set(np.flatnonzero(s2.last_seen == s2.t)) == visited
+    for si in visited:
+        off = kuhn.infoset_offset[si]
+        na = kuhn.actions_per_infoset[si]
+        assert np.array_equal(s1.cur[off:off + na], s2.cur[off:off + na])
+    assert not np.array_equal(s1.cur, s2.cur)
+    oracle_catch_up(s2, kuhn, params)
+    assert np.array_equal(s1.cur, s2.cur)
+    assert np.array_equal(s1.bar, s2.bar)
 
 
 # ---------------------------------------------------------------------------
