@@ -89,10 +89,10 @@ class TruncatedSimplex:
 def local_psi(x, alpha, family):
     x = np.asarray(x, dtype=np.float64)
     if family == ENTROPY:
-        xs = np.clip(x, _TINY, None)
-        return alpha * (np.log(x.shape[-1]) + np.sum(x * np.log(xs), axis=-1))
+        xs = np.maximum(x, _TINY)
+        return alpha * (np.log(x.shape[-1]) + (x * np.log(xs)).sum(axis=-1))
     if family == EUCLIDEAN:
-        return alpha * 0.5 * np.sum(x * x, axis=-1)
+        return alpha * 0.5 * (x * x).sum(axis=-1)
     raise ValueError(f"unknown regularizer family {family!r}")
 
 
@@ -101,8 +101,8 @@ def bregman_local(x, y, alpha, family):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if family == ENTROPY:
-        xs = np.clip(x, _TINY, None)
-        ys = np.clip(y, _TINY, None)
+        xs = np.maximum(x, _TINY)
+        ys = np.maximum(y, _TINY)
         return alpha * (np.sum(x * (np.log(xs) - np.log(ys)), axis=-1)
                         + np.sum(y - x, axis=-1))
     if family == EUCLIDEAN:
@@ -116,7 +116,7 @@ def psi_flat(tree, flat, alpha, family):
     pair array."""
     n_sets = tree.num_infosets
     if family == ENTROPY:
-        xs = np.clip(flat, _TINY, None)
+        xs = np.maximum(flat, _TINY)
         inner = np.bincount(tree.pair_infoset, weights=flat * np.log(xs),
                             minlength=n_sets)
         return alpha * (np.log(tree.actions_per_infoset) + inner)
@@ -165,6 +165,11 @@ def floor_fit(family, Z, gamma, NU):
     entry falls below its floor. Pinned entries never come free again, so
     this takes at most n passes. Rows with no slack, or whose entries all
     pin under roundoff, return the normalized floor.
+
+    When every row has slack, the first pass runs with nothing masked and
+    returns at once if no floor binds; otherwise its pins start the masked
+    loop's second pass, so a binding floor costs no extra pass. Each row's
+    result is the same bits whatever batch it comes in.
     """
     floor = gamma[:, None] * NU
     slack = 1.0 - floor.sum(axis=1)
@@ -177,8 +182,23 @@ def floor_fit(family, Z, gamma, NU):
         Z = Z - floor
         with np.errstate(over="ignore"):
             Z = np.maximum(Z - Z.max(axis=1, keepdims=True), -slack[:, None])
-    free = np.repeat((slack > 1e-12)[:, None], Z.shape[1], axis=1)
+    n = Z.shape[1]
+    has_slack = slack > 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
+        if has_slack.all():
+            # First pass with every entry free: no mask to apply, and the
+            # entropy's free mass is exactly 1.
+            zf = Z.sum(axis=1)
+            if family == EUCLIDEAN:
+                fit = floor + (Z - ((zf - slack) / n)[:, None])
+            else:
+                fit = Z / zf[:, None]
+            below = fit < floor
+            if not below.any():
+                return fit
+            free = ~below
+        else:
+            free = np.repeat(has_slack[:, None], n, axis=1)
         while True:
             zf = np.where(free, Z, 0.0).sum(axis=1)
             if family == EUCLIDEAN:
@@ -214,7 +234,7 @@ def prox_batch(family, X0, G, tau0, eta, alpha, gamma, NU):
     """Row-wise prox step. All row parameters are 1-D arrays."""
     if family == ENTROPY:
         c = 1.0 + eta * tau0
-        logx0 = np.log(np.clip(X0, _TINY, None))
+        logx0 = np.log(np.maximum(X0, _TINY))
         logxh = logx0 / c[:, None] - (eta / (alpha * c))[:, None] * G
         Z = np.exp(logxh - logxh.max(axis=1, keepdims=True))
     elif family == EUCLIDEAN:

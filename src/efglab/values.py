@@ -272,6 +272,7 @@ def estimate_trajectory_q(tree, traj, profile, tau=0.0, alpha=1.0,
     est = {}
     s1 = s2 = 0.0
     u1 = traj.utility
+    scalar_alpha = np.isscalar(alpha)
     for k in range(traj.num_steps - 1, -1, -1):
         nd = tree.nodes[traj.nodes[k]]
         pk = traj.true_probs[k]
@@ -286,7 +287,7 @@ def estimate_trajectory_q(tree, traj, profile, tau=0.0, alpha=1.0,
         else:
             est[nd.infoset] = (a, (-u1 + tau * s2) / pk)
         if tau != 0.0:
-            al = alpha if np.isscalar(alpha) else alpha[nd.infoset]
+            al = alpha if scalar_alpha else alpha[nd.infoset]
             psi = local_psi(profile[nd.infoset], al, family)
         else:
             psi = 0.0

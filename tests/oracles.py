@@ -12,11 +12,12 @@ plans by recursion over parent sequences, expected utility by backward
 traversal, the dilated Bregman divergence from its sequence-form
 definition, the regularized best response by a memoized recursion over
 nodes with one `argmax_regularized` call per infoset, both floor fits of
-`efglab.regularizers.floor_fit` by the sort-and-threshold rules, and the
-step-size conditions of `efglab.solvers.schedule_report` by a walk over
-the nodes. The lazy QFR step has a one-row-at-a-time oracle in the
-paper's deferred form: per-infoset timestamps, and two `prox_step` solves
-per pending zero-feedback step, replayed when the infoset is next read.
+`efglab.regularizers.floor_fit` by the sort-and-threshold rules and by
+its pin-and-refit loop with every pass masked, and the step-size
+conditions of `efglab.solvers.schedule_report` by a walk over the nodes.
+The lazy QFR step has a one-row-at-a-time oracle in the paper's deferred
+form: per-infoset timestamps, and two `prox_step` solves per pending
+zero-feedback step, replayed when the infoset is next read.
 
 The helpers at the end (full simplexes, local regularizer gradients,
 opponent reach and the dilated and bidilated regularizer values) are read
@@ -345,6 +346,42 @@ def project_floored_sort(Z, gamma, NU):
     return out
 
 
+def floor_fit_masked(family, Z, gamma, NU):
+    """`efglab.regularizers.floor_fit` with every pass masked, the first
+    included: the library's form before its first pass went mask-free, kept
+    to check that the two give the same bits."""
+    floor = gamma[:, None] * NU
+    slack = 1.0 - floor.sum(axis=1)
+    if family == EUCLIDEAN:
+        # Fit the mass above the floors. The projection is unchanged by a
+        # shift of the whole row, and after the max shift every entry at or
+        # below -slack pins, so clamping there changes no fit. The free
+        # entries then lie within [-slack, 0]: theta never cancels against
+        # a large row, and an overflowed difference cannot reach it.
+        Z = Z - floor
+        with np.errstate(over="ignore"):
+            Z = np.maximum(Z - Z.max(axis=1, keepdims=True), -slack[:, None])
+    free = np.repeat((slack > 1e-12)[:, None], Z.shape[1], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            zf = np.where(free, Z, 0.0).sum(axis=1)
+            if family == EUCLIDEAN:
+                theta = (zf - slack) / free.sum(axis=1)
+                fit = floor + (Z - theta[:, None])
+            else:
+                mass = 1.0 - np.where(free, 0.0, floor).sum(axis=1)
+                fit = Z / (zf / mass)[:, None]
+            below = free & (fit < floor)
+            if not below.any():
+                break
+            free &= ~below
+    out = np.where(free, fit, floor)
+    pinned = ~free.any(axis=1)
+    if pinned.any():
+        out[pinned] = floor[pinned] / floor[pinned].sum(axis=1, keepdims=True)
+    return out
+
+
 def entropy_floor_fit_sort(xh, gamma, NU):
     """Normalize candidate weights xh subject to floors gamma * nu, row-wise.
 
@@ -631,3 +668,23 @@ def bidilated_psi(tree, profile, player, alpha, family):
     mine, own, opp = _player_reach(tree, flat, player)
     return float(np.dot(own * opp,
                         psi_flat(tree, flat, alpha, family)[mine]))
+
+
+def prox_objectives(X, x0, g, tau0, eta, alpha, family):
+    """The prox objective <g, x> + tau0 * psi(x) + D_psi(x, x0) / eta of
+    every row x of X, in one pass over X (one log of X for the entropy,
+    whose rows must be positive): `local_psi` + `bregman_local` / eta,
+    expanded and regrouped by the terms that depend on x."""
+    if family == ENTROPY:
+        L = np.log(X)
+        L *= alpha * (tau0 + 1.0 / eta)
+        L += g - (alpha / eta) * np.log(x0)
+        return (np.einsum("ij,ij->i", X, L)
+                + alpha * tau0 * np.log(X.shape[1])
+                + (alpha / eta) * (x0.sum() - X.sum(axis=1)))
+    if family == EUCLIDEAN:
+        return (X @ (g - (alpha / eta) * x0)
+                + (0.5 * alpha * (tau0 + 1.0 / eta))
+                * np.einsum("ij,ij->i", X, X)
+                + (0.5 * alpha / eta) * (x0 @ x0))
+    raise ValueError(f"unknown regularizer family {family!r}")

@@ -21,7 +21,7 @@ from efglab.solvers import (SolverParams, SolverState, average_profile,
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            estimate_trajectory_q, sample_trajectory)
 from oracles import (LazyOracleState, bregman_tree_direct, oracle_catch_up,
-                     oracle_lazy_step, to_sequence_form)
+                     oracle_lazy_step, prox_objectives, to_sequence_form)
 
 # Bound violations recorded by the convergence runs (criteria 5 and 6) and
 # audited by criterion 7; pytest executes this file top to bottom.
@@ -98,10 +98,14 @@ def test_criterion_2_prox_correctness():
         alpha = 1.0
         out = prox_step(x0, g, tau0, eta, alpha, family, sx)
         assert sx.contains(out, tol=1e-9)
-        raw = rng.gamma(1.0, size=(grid_size, na))
-        pts = floor + free * raw / raw.sum(axis=1, keepdims=True)
-        objs = (pts @ g + tau0 * local_psi(pts, alpha, family)
-                + bregman_local(pts, x0, alpha, family) / eta)
+        # The grid points floor + free * raw / raw.sum(axis=1), built in
+        # place and scored in one pass.
+        pts = rng.gamma(1.0, size=(grid_size, na))
+        total = pts.sum(axis=1, keepdims=True)
+        pts *= free
+        pts /= total
+        pts += floor
+        objs = prox_objectives(pts, x0, g, tau0, eta, alpha, family)
         obj_out = (out @ g + tau0 * local_psi(out, alpha, family)
                    + bregman_local(out, x0, alpha, family) / eta)
         assert obj_out <= objs.min() + 1e-6

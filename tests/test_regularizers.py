@@ -12,11 +12,20 @@ from efglab.games import build_kuhn, build_matching_pennies
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  argmax_regularized, bregman_local,
                                  bregman_tree, floor_fit, local_psi,
-                                 project_truncated_simplex, prox_step)
+                                 project_truncated_simplex, prox_step,
+                                 psi_flat)
 from oracles import (bidilated_psi, bregman_tree_direct, dilated_psi,
-                     entropy_floor_fit_sort, full_simplex, infoset_members,
-                     local_psi_grad, project_floored_sort,
-                     reach_probabilities)
+                     entropy_floor_fit_sort, floor_fit_masked, full_simplex,
+                     infoset_members, local_psi_grad, project_floored_sort,
+                     prox_objectives, reach_probabilities)
+
+
+def _same_bits(a, b):
+    """Whether two float64 arrays hold the same bits: -0.0 differs from 0.0
+    and NaN equals NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
 
 
 def _random_simplex_point(rng, n):
@@ -103,6 +112,32 @@ def test_bregman_local_nonnegative(rng):
         y = _random_interior(rng, 4)
         assert bregman_local(x, y, 1.0, ENTROPY) >= 0.0
         assert bregman_local(x, y, 1.0, EUCLIDEAN) >= 0.0
+
+
+def test_clamped_logs_give_the_bits_of_a_clip_at_tiny(kuhn, rng):
+    # The entropy terms take log(max(x, 1e-300)); on zeros, signed zeros,
+    # subnormals and NaN that is the log of np.clip(x, 1e-300, None).
+    def clip_log(v):
+        return np.log(np.clip(v, 1e-300, None))
+
+    specials = np.array([0.0, -0.0, 5e-324, 1e-320, 2.2e-308, 1e-300,
+                         np.nan, 0.25, 1.0])
+    X = rng.choice(specials, size=(300, 4))
+    Y = rng.choice(specials, size=(300, 4))
+    want = 1.3 * (np.log(4) + np.sum(X * clip_log(X), axis=-1))
+    assert _same_bits(local_psi(X, 1.3, ENTROPY), want)
+    for i in range(20):
+        assert _same_bits(local_psi(X[i], 1.3, ENTROPY), want[i])
+    want = 1.3 * (np.sum(X * (clip_log(X) - clip_log(Y)), axis=-1)
+                  + np.sum(Y - X, axis=-1))
+    assert _same_bits(bregman_local(X, Y, 1.3, ENTROPY), want)
+    alpha = rng.uniform(0.5, 2.0, size=kuhn.num_infosets)
+    for _ in range(20):
+        flat = rng.choice(specials, size=kuhn.num_pairs)
+        inner = np.bincount(kuhn.pair_infoset, weights=flat * clip_log(flat),
+                            minlength=kuhn.num_infosets)
+        want = alpha * (np.log(kuhn.actions_per_infoset) + inner)
+        assert _same_bits(psi_flat(kuhn, flat, alpha, ENTROPY), want)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +387,84 @@ def test_euclidean_fit_of_huge_rows_stays_in_the_set(scale):
     assert np.allclose(x, [0.995, 0.005], rtol=0.0, atol=1e-15)
 
 
+def _bitwise_fit_pool(rng, family, n):
+    """Fit inputs of every kind floor_fit branches on, as (Z, gamma, NU,
+    tight), where `tight` marks the rows with slack at or below 1e-12."""
+    NU = rng.dirichlet(np.ones(n), size=400)
+    # Random rows over every floor height (gamma 1 leaves no slack).
+    Z = _fit_rows(rng, family, 400, n)
+    gamma = rng.choice(FIT_GAMMAS, size=400)
+    # High floors, which pin entries on the first pass and, from three
+    # actions on, on later passes.
+    Zb = rng.normal(size=(400, n)) * rng.choice([0.1, 0.5, 2.0],
+                                               size=(400, 1))
+    if family == ENTROPY:
+        Zb = np.exp(Zb)
+    gb = rng.uniform(0.3, 0.99, size=400)
+    # Slack just above and just at or below the 1e-12 threshold.
+    NUs = rng.dirichlet(np.ones(n), size=60)
+    gs = (1.0 - rng.choice([1e-11, 2e-12, 1e-12, 1e-13, 0.0], size=60)) \
+        / NUs.sum(axis=1)
+    Zs = _fit_rows(rng, family, 60, n)
+    # Hand-made rows (nu uniform): at four actions, one that pins entry 0
+    # on the first pass and entry 1 only on the second; rows of zeros; rows
+    # with NaN or an infinity.
+    edge = np.full((6, n), 0.5)
+    edge[0, :4] = [0.0, 0.5, 0.7, 1.0][:n]
+    edge[1] = 0.0
+    edge[2, 0] = np.nan
+    edge[3, -1] = np.inf
+    edge[4, 0] = -np.inf
+    edge[5] = np.inf
+    ge = np.array([0.8 if family == ENTROPY else 0.4] + [0.3] * 5)
+    NUe = np.full((6, n), 1.0 / n)
+    if family == ENTROPY:
+        # Weights near overflow, whose scale z overflows so that every entry
+        # pins: on the first pass, or on the second after the small entries
+        # pinned.
+        Zx = np.zeros((2, n))
+        Zx[0] = 1e308
+        Zx[1, :2] = [1.5e308, 1.0]
+        NUx = np.full((2, n), 1.0 / n)
+        gx = np.full(2, 0.5)
+    else:
+        # Huge rows, whose spread can overflow.
+        Zx = rng.normal(size=(40, n)) * rng.choice(
+            [1e16, 1e100, 1e300, 1.7e308], size=(40, 1))
+        NUx = rng.dirichlet(np.ones(n), size=40)
+        gx = rng.choice([0.0, 0.01, 0.3], size=40)
+    Z = np.concatenate([Z, Zb, Zs, edge, Zx])
+    gamma = np.concatenate([gamma, gb, gs, ge, gx])
+    NU = np.concatenate([NU, NU, NUs, NUe, NUx])
+    tight = 1.0 - (gamma[:, None] * NU).sum(axis=1) <= 1e-12
+    return Z, gamma, NU, tight
+
+
+@pytest.mark.parametrize("family", [ENTROPY, EUCLIDEAN])
+def test_floor_fit_equals_the_masked_loop_bit_for_bit(rng, family):
+    # floor_fit's first pass runs unmasked when every row has slack; it
+    # must give the bits of the loop that masks every pass, in batches with
+    # and without rows of no slack, and each row alone the bits it has in
+    # its batch.
+    with np.errstate(all="ignore"):
+        for n in range(2, 9):
+            Z, gamma, NU, tight = _bitwise_fit_pool(rng, family, n)
+            assert tight.any() and not tight.all()
+            open_rows = np.flatnonzero(~tight)
+            for m in (0, 1, 2, 40, 624):
+                mixed = rng.integers(0, len(Z), size=m)
+                mixed[::8] = rng.choice(np.flatnonzero(tight),
+                                        size=len(mixed[::8]))
+                for rows in (rng.choice(open_rows, size=m), mixed):
+                    args = (Z[rows], gamma[rows], NU[rows])
+                    got = floor_fit(family, *args)
+                    assert _same_bits(got, floor_fit_masked(family, *args))
+                    for j, i in enumerate(rows):
+                        alone = floor_fit(family, Z[i:i + 1],
+                                          gamma[i:i + 1], NU[i:i + 1])
+                        assert _same_bits(alone[0], got[j])
+
+
 # ---------------------------------------------------------------------------
 # Proximal operators
 
@@ -402,6 +515,26 @@ def test_prox_beats_feasible_grid(rng, family):
         objs = (pts @ g + tau0 * local_psi(pts, alpha, family)
                 + bregman_local(pts, x0, alpha, family) / eta)
         assert obj_out <= objs.min() + 1e-6
+
+
+@pytest.mark.parametrize("family", [ENTROPY, EUCLIDEAN])
+def test_one_pass_prox_objectives_match_the_regularizer_terms(rng, family):
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        nu = rng.dirichlet(np.ones(n))
+        floor = float(rng.uniform(0.0, 0.2)) * nu
+        free = 1.0 - floor.sum()
+        x0 = floor + free * rng.dirichlet(np.ones(n))
+        X = floor + free * rng.dirichlet(
+            np.full(n, rng.choice([0.1, 1.0, 10.0])), size=500)
+        g = rng.uniform(-2.0, 2.0, size=n)
+        tau0 = float(rng.uniform(0.0, 1.0))
+        eta = float(rng.uniform(0.01, 1.0))
+        alpha = float(rng.choice([0.5, 1.0, 3.0]))
+        want = _prox_objective(X, x0, g, tau0, eta, alpha, family)
+        got = prox_objectives(X, x0, g, tau0, eta, alpha, family)
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_prox_euclidean_large_tau_shrinks_to_projection_of_zero(rng):
