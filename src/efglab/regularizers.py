@@ -166,8 +166,8 @@ def floor_fit(family, Z, gamma, NU):
     this takes at most n passes. Rows with no slack, or whose entries all
     pin under roundoff, return the normalized floor.
 
-    When every row has slack, the first pass runs with nothing masked and
-    returns at once if no floor binds; otherwise its pins start the masked
+    The first pass runs with nothing masked and returns at once if every
+    row has slack and no floor binds; otherwise its pins start the masked
     loop's second pass, so a binding floor costs no extra pass. Each row's
     result is the same bits whatever batch it comes in.
     """
@@ -182,23 +182,18 @@ def floor_fit(family, Z, gamma, NU):
         Z = Z - floor
         with np.errstate(over="ignore"):
             Z = np.maximum(Z - Z.max(axis=1, keepdims=True), -slack[:, None])
-    n = Z.shape[1]
-    has_slack = slack > 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
-        if has_slack.all():
-            # First pass with every entry free: no mask to apply, and the
-            # entropy's free mass is exactly 1.
-            zf = Z.sum(axis=1)
-            if family == EUCLIDEAN:
-                fit = floor + (Z - ((zf - slack) / n)[:, None])
-            else:
-                fit = Z / zf[:, None]
-            below = fit < floor
-            if not below.any():
-                return fit
-            free = ~below
+        # First pass with every entry free: no mask to apply, and the
+        # entropy's free mass is exactly 1. A row with no slack starts
+        # pinned, as the masked loop would leave it.
+        zf = Z.sum(axis=1)
+        if family == EUCLIDEAN:
+            fit = floor + (Z - ((zf - slack) / Z.shape[1])[:, None])
         else:
-            free = np.repeat(has_slack[:, None], n, axis=1)
+            fit = Z / zf[:, None]
+        free = (slack > 1e-12)[:, None] & ~(fit < floor)
+        if free.all():
+            return fit
         while True:
             zf = np.where(free, Z, 0.0).sum(axis=1)
             if family == EUCLIDEAN:
