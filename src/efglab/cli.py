@@ -97,6 +97,11 @@ def _run(**fields):
              if last["expl_avg"] is not None else "")
           + (f" reg_gap={_metric(last['reg_gap'])}"
              if last["reg_gap"] is not None else ""))
+    if outcome.nonfinite_iterate is not None:
+        seed, it = outcome.nonfinite_iterate
+        print(f"error: non-finite iterate at seed {seed} iteration {it}",
+              file=sys.stderr)
+        return 1
     for row in outcome.rows:
         bad = [k for k in CSV_FIELDS
                if row[k] is not None and not np.isfinite(row[k])]

@@ -25,8 +25,9 @@ from .evaluate import (bregman_to_reference, compute_reference,
 from .game import GameError, flatten_profile, load_game
 from .games import build_kuhn, build_leduc
 from .regularizers import ENTROPY, EUCLIDEAN, RATE_RULES, check_rate
-from .solvers import (SolverParams, SolverState, average_flat,
-                      check_m_bounds, game_constants, parse_schedule)
+from .solvers import (SolverParams, SolverState, average_flat, check_choice,
+                      check_count, check_m_bounds, game_constants,
+                      parse_schedule)
 from .values import (FEEDBACK_KINDS, TRAJQ, infoset_reach, multiplier,
                      reach_flat)
 
@@ -72,9 +73,7 @@ class RunConfig:
         # a bad value fails before the game is built or a step is taken.
         for name, kinds in (("algo", ALGOS), ("feedback", FEEDBACK_KINDS),
                             ("reg", REGS)):
-            if getattr(self, name) not in kinds:
-                raise ValueError(f"{name} must be one of {', '.join(kinds)}, "
-                                 f"got {getattr(self, name)!r}")
+            check_choice(name, getattr(self, name), kinds)
         for name, kind in (("game", str), ("out", str),
                            ("track_bregman", bool)):
             if not isinstance(getattr(self, name), kind):
@@ -83,11 +82,7 @@ class RunConfig:
         for name, least in (("iters", 1), ("reps", 1), ("jobs", 1),
                             ("seed", 0), ("eval_every", 0),
                             ("anneal_every", 0)):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
-                    or v < least):
-                raise ValueError(
-                    f"{name} must be an integer >= {least}, got {v!r}")
+            check_count(name, getattr(self, name), least)
         for name in RATE_RULES:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -121,6 +116,8 @@ class RunOutcome:
     rows: list
     m_violations: int = 0
     final_profile: list = field(default=None)
+    # (seed, iteration) of the first step that left a non-finite iterate.
+    nonfinite_iterate: tuple = None
 
 
 def _eval_row(tree, cfg, params, state, seed, it, t0, reference, constants):
@@ -181,18 +178,22 @@ def run_single(cfg, seed, reference=None, tree=None):
     t0 = time.perf_counter()
     rows = []
     violations = 0
-    # A diverging run shows as non-finite metrics in its rows, not as
-    # numpy warnings from every step after it.
+    nonfinite = None
+    # A diverging run shows as the step that made its iterate non-finite
+    # and as non-finite metrics in its rows, not as numpy warnings from
+    # every step after it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, cfg.iters + 1):
             step()
+            if nonfinite is None and not np.isfinite(state.cur).all():
+                nonfinite = (seed, it)
             if it == cfg.iters or (cfg.eval_every
                                    and it % cfg.eval_every == 0):
                 row, v = _eval_row(tree, cfg, params, state, seed, it, t0,
                                    reference, constants)
                 rows.append(row)
                 violations += v
-    return RunOutcome(rows, violations, state.profile(tree))
+    return RunOutcome(rows, violations, state.profile(tree), nonfinite)
 
 
 def _run_ops(ops, jobs, tree, reference=None):
@@ -227,7 +228,10 @@ def run(cfg):
         rows = [row for out in outs for row in out.rows]
         if cfg.out:
             _write_rows(f, CSV_FIELDS, rows, _fmt)
-    return RunOutcome(rows, sum(out.m_violations for out in outs))
+    nonfinite = next((out.nonfinite_iterate for out in outs
+                      if out.nonfinite_iterate is not None), None)
+    return RunOutcome(rows, sum(out.m_violations for out in outs),
+                      nonfinite_iterate=nonfinite)
 
 
 def _fmt(v):

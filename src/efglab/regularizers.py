@@ -14,7 +14,7 @@ divergence by the owner's sequence-form reach.
 
 import numpy as np
 
-from .game import PLAYER1, PLAYER2, flatten_profile
+from .game import PLAYER1, PLAYER2
 
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
@@ -141,15 +141,6 @@ def bregman_tree_flat(tree, x, y, alpha, family):
                               tree.infoset_owner == PLAYER2))
 
 
-def bregman_tree(tree, profile, ref_profile, player, alpha, family):
-    """Dilated-regularizer Bregman divergence D(profile, ref) for one player
-    (see bregman_tree_flat)."""
-    alpha = rate_array(tree, "alpha", alpha)
-    return bregman_tree_flat(tree, flatten_profile(tree, profile),
-                             flatten_profile(tree, ref_profile), alpha,
-                             family)[player - PLAYER1]
-
-
 # ---------------------------------------------------------------------------
 # Floor fit, projection and proximal steps
 
@@ -211,13 +202,6 @@ def floor_fit(family, Z, gamma, NU):
     if pinned.any():
         out[pinned] = floor[pinned] / floor[pinned].sum(axis=1, keepdims=True)
     return out
-
-
-def project_truncated_simplex(z, simplex):
-    """Euclidean projection of z onto a truncated simplex."""
-    z = np.asarray(z, dtype=np.float64)
-    return floor_fit(EUCLIDEAN, z[None, :], np.asarray([simplex.gamma]),
-                     simplex.nu[None, :])[0]
 
 
 # The prox step solves

@@ -9,6 +9,7 @@ regret-matching CFR, CFR+, outcome-sampling MCCFR, and non-optimistic
 mirror descent.
 """
 
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -49,6 +50,21 @@ def lr_schedule(tree, eta0, schedule="uniform"):
             / parse_schedule(schedule) ** tree.infoset_depth.astype(float))
 
 
+def check_choice(name, value, kinds):
+    """Raise ValueError unless `value` is one of `kinds`."""
+    if value not in kinds:
+        raise ValueError(f"{name} must be one of {', '.join(kinds)}, got "
+                         f"{value!r}")
+
+
+def check_count(name, value, least):
+    """Raise ValueError unless `value` is an integer (not a bool) >= least."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got "
+                         f"{value!r}")
+
+
 class SolverParams:
     """Configuration shared by all solver step functions: alpha, gamma
     and eta are arrays over infosets, strategies are floored at gamma * nu
@@ -60,6 +76,8 @@ class SolverParams:
                  explore_eps=0.6, anneal_decay=0.0, anneal_every=0):
         if feedback not in (CF, QVALUE, TRAJQ):
             raise ValueError(f"unknown feedback kind {feedback!r}")
+        check_choice("family", family, (ENTROPY, EUCLIDEAN))
+        check_count("anneal_every", anneal_every, 0)
         self.feedback = feedback
         self.family = family
         self.eta = lr_schedule(tree, eta, schedule)
@@ -142,32 +160,28 @@ def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None):
 # Full-information steps
 
 
-def qfr_full_step(state, tree, params):
-    """One full-information optimistic prox iteration (all infosets).
-
-    Feedback is computed at the current strategy and augmented by tau; the
-    local regularizer weight is tau * opp_reach / m under the current
-    reach probabilities.
-    """
+def _full_prox_step(state, tree, params, optimistic):
+    """Feedback at the current strategy, augmented by tau, then the prox
+    update at every infoset with local weight tau * opp_reach / m under the
+    current reach probabilities."""
     tau = params.effective_tau(state.t)
     q_flat, m, ownr, oppr, _ = feedback_flat(
         tree, state.cur, params.feedback, tau, params.alpha, params.family)
-    tau0 = local_tau0(params, tau, oppr, ownr)
-    _batched_update(state, params, -q_flat, tau0)
+    _batched_update(state, params, -q_flat,
+                    local_tau0(params, tau, oppr, ownr), optimistic)
     state.t += 1
     return m
+
+
+def qfr_full_step(state, tree, params):
+    """One full-information optimistic prox iteration (all infosets)."""
+    return _full_prox_step(state, tree, params, True)
 
 
 def mmd_step(state, tree, params):
     """Non-optimistic mirror-descent baseline (reconstructed): one prox
     solve from the current iterate with the same feedback and weights."""
-    tau = params.effective_tau(state.t)
-    q_flat, m, ownr, oppr, _ = feedback_flat(
-        tree, state.cur, params.feedback, tau, params.alpha, params.family)
-    tau0 = local_tau0(params, tau, oppr, ownr)
-    _batched_update(state, params, -q_flat, tau0, optimistic=False)
-    state.t += 1
-    return m
+    return _full_prox_step(state, tree, params, False)
 
 
 def pga_step(state, tree, params):
@@ -198,26 +212,29 @@ def _normalize_or_uniform(tree, w):
     return np.where(rep > 0.0, w / np.where(rep > 0.0, rep, 1.0), uniform)
 
 
-def _regret_matching(state, tree, pair_mask=None):
-    pos = np.maximum(state.regret, 0.0)
-    if pair_mask is not None:
-        pos = np.where(pair_mask, pos, 0.0)
-    new = _normalize_or_uniform(tree, pos)
-    if pair_mask is None:
-        state.cur[:] = new
-    else:
-        state.cur[pair_mask] = new[pair_mask]
+def _regret_matching(state, tree, pairs):
+    """Play each infoset's positive regrets normalized (uniform where none
+    is positive) at `pairs`, a slice or a mask of whole infosets."""
+    state.cur[pairs] = _normalize_or_uniform(
+        tree, np.maximum(state.regret, 0.0))[pairs]
+
+
+def _instant_regret(state, tree):
+    """Counterfactual regret of every pair at the current strategy, and
+    each infoset's own reach."""
+    _, _, ownr, _, cf = feedback_flat(tree, state.cur, CF, 0.0)
+    ev = np.bincount(tree.pair_infoset, weights=cf * state.cur,
+                     minlength=tree.num_infosets)
+    return cf - ev[tree.pair_infoset], ownr
 
 
 def cfr_step(state, tree, params):
     """Vanilla CFR: simultaneous regret-matching on counterfactual regrets
     with reach-weighted strategy averaging."""
-    q_flat, _, ownr, _, cf = feedback_flat(tree, state.cur, CF, 0.0)
-    ev = np.bincount(tree.pair_infoset, weights=cf * state.cur,
-                     minlength=tree.num_infosets)
-    state.regret += cf - ev[tree.pair_infoset]
+    inc, ownr = _instant_regret(state, tree)
+    state.regret += inc
     state.strat_sum += ownr[tree.pair_infoset] * state.cur
-    _regret_matching(state, tree)
+    _regret_matching(state, tree, slice(None))
     state.t += 1
 
 
@@ -227,12 +244,9 @@ def cfr_plus_step(state, tree, params):
     state.t += 1
     for p in (1, 2):
         mask = tree.infoset_owner[tree.pair_infoset] == p
-        _, _, ownr, _, cf = feedback_flat(tree, state.cur, CF, 0.0)
-        ev = np.bincount(tree.pair_infoset, weights=cf * state.cur,
-                         minlength=tree.num_infosets)
-        inc = cf - ev[tree.pair_infoset]
+        inc, ownr = _instant_regret(state, tree)
         state.regret[mask] = np.maximum(state.regret[mask] + inc[mask], 0.0)
-        _regret_matching(state, tree, pair_mask=mask)
+        _regret_matching(state, tree, mask)
         state.strat_sum[mask] += (state.t * ownr[tree.pair_infoset][mask]
                                   * state.cur[mask])
 
@@ -241,11 +255,6 @@ def average_flat(state, tree):
     """Normalized accumulated average strategy, a new flat pair array
     (uniform where untouched)."""
     return _normalize_or_uniform(tree, state.strat_sum)
-
-
-def average_profile(state, tree):
-    """average_flat as a per-infoset list."""
-    return unflatten_profile(tree, average_flat(state, tree))
 
 
 def os_mccfr_step(state, tree, params, rng):
@@ -257,49 +266,48 @@ def os_mccfr_step(state, tree, params, rng):
     """
     traj = sample_trajectory(tree, state.cur_views, rng,
                              explore_eps=params.explore_eps)
+    # Forward: the sample probability, each player's others' (chance and
+    # opponent) probability, and at each decision the averaging weight,
+    # its owner's own probability over the sample probability of the
+    # steps before it.
     q_all = 1.0
-    others_all = {PLAYER1: 1.0, PLAYER2: 1.0}
+    others = [None, 1.0, 1.0]
+    own = [None, 1.0, 1.0]
+    weight = [None] * traj.num_steps
     for k in range(traj.num_steps):
         nd = tree.nodes[traj.nodes[k]]
+        pk = traj.true_probs[k]
+        if nd.is_chance:
+            others[PLAYER1] *= pk
+            others[PLAYER2] *= pk
+        else:
+            weight[k] = own[nd.owner] / q_all
+            own[nd.owner] *= pk
+            others[PLAYER1 + PLAYER2 - nd.owner] *= pk
         q_all *= traj.sample_probs[k]
-        if nd.is_chance or nd.owner != PLAYER1:
-            others_all[PLAYER1] *= traj.true_probs[k]
-        if nd.is_chance or nd.owner != PLAYER2:
-            others_all[PLAYER2] *= traj.true_probs[k]
-    # Own-probability products over steps strictly after k, per player;
-    # computed as suffixes so zero-probability sampled actions (possible
-    # under exploration) never force a 0/0 ratio.
-    own_suffix = [None] * traj.num_steps
-    acc = {PLAYER1: 1.0, PLAYER2: 1.0}
-    for k in range(traj.num_steps - 1, -1, -1):
-        own_suffix[k] = dict(acc)
-        nd = tree.nodes[traj.nodes[k]]
-        if not nd.is_chance:
-            acc[nd.owner] *= traj.true_probs[k]
-    u1 = traj.utility
-    q_pref = 1.0
-    own_true = {PLAYER1: 1.0, PLAYER2: 1.0}
+    # Backward: the owner's own probability over the steps after each
+    # decision, a suffix product, so a zero-probability sampled action
+    # (possible under exploration) never forces a 0/0 ratio. A trajectory
+    # visits an infoset at most once, so the updates commute.
+    u = [None, traj.utility, -traj.utility]
+    suffix = [None, 1.0, 1.0]
     visited = np.zeros(tree.num_infosets, dtype=bool)
-    for k in range(traj.num_steps):
+    for k in range(traj.num_steps - 1, -1, -1):
         nd = tree.nodes[traj.nodes[k]]
-        if not nd.is_chance:
-            p = nd.owner
-            si = nd.infoset
-            a = traj.actions[k]
-            own_incl = own_true[p] * traj.true_probs[k]
-            u_p = u1 if p == PLAYER1 else -u1
-            v = u_p * others_all[p] * own_suffix[k][p] / q_all
-            off = tree.infoset_offset[si]
-            na = tree.actions_per_infoset[si]
-            pi_a = state.cur[off + a]
-            state.regret[off:off + na] -= pi_a * v
-            state.regret[off + a] += v
-            state.strat_sum[off:off + na] += ((own_true[p] / q_pref)
-                                              * state.cur[off:off + na])
-            own_true[p] = own_incl
-            visited[si] = True
-        q_pref *= traj.sample_probs[k]
-    _regret_matching(state, tree, pair_mask=visited[tree.pair_infoset])
+        if nd.is_chance:
+            continue
+        p = nd.owner
+        si = nd.infoset
+        a = traj.actions[k]
+        v = u[p] * others[p] * suffix[p] / q_all
+        off = tree.infoset_offset[si]
+        na = tree.actions_per_infoset[si]
+        state.regret[off:off + na] -= state.cur[off + a] * v
+        state.regret[off + a] += v
+        state.strat_sum[off:off + na] += weight[k] * state.cur[off:off + na]
+        suffix[p] *= traj.true_probs[k]
+        visited[si] = True
+    _regret_matching(state, tree, visited[tree.pair_infoset])
     state.t += 1
     return traj
 
@@ -308,14 +316,20 @@ def os_mccfr_step(state, tree, params, rng):
 # Stochastic and lazy optimistic steps
 
 
-def _one_hot_gradient(tree, est):
-    """Flat negated one-hot estimates, and the mask of estimated infosets."""
+def _sampled_gradient(state, tree, params, tau, rng, traj, dilated):
+    """Sample a trajectory from the current strategy unless one is given,
+    estimate its trajectory-q values, and return (traj, g, visited): the
+    flat negated one-hot estimates and the mask of estimated infosets."""
+    if traj is None:
+        traj = sample_trajectory(tree, state.cur_views, rng)
+    est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
+                                params.alpha, params.family, dilated=dilated)
     g = np.zeros(tree.num_pairs)
     visited = np.zeros(tree.num_infosets, dtype=bool)
     for si, (a, v) in est.items():
         g[tree.infoset_offset[si] + a] = -v
         visited[si] = True
-    return g, visited
+    return traj, g, visited
 
 
 def qfr_stochastic_step(state, tree, params, rng=None, traj=None):
@@ -327,11 +341,8 @@ def qfr_stochastic_step(state, tree, params, rng=None, traj=None):
     unchanged. Returns the trajectory.
     """
     tau = params.effective_tau(state.t)
-    if traj is None:
-        traj = sample_trajectory(tree, state.cur_views, rng)
-    est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
-                                params.alpha, params.family)
-    g, visited = _one_hot_gradient(tree, est)
+    traj, g, visited = _sampled_gradient(state, tree, params, tau, rng, traj,
+                                         False)
     _batched_update(state, params, g, np.full(tree.num_infosets, tau),
                     rows=visited)
     state.t += 1
@@ -351,10 +362,8 @@ def lazy_qfr_step(state, tree, params, rng=None, traj=None):
     weight is 0 have no regularizer pull and are not updated.
     """
     tau = params.effective_tau(state.t)
-    if traj is None:
-        traj = sample_trajectory(tree, state.cur_views, rng)
-    est = estimate_trajectory_q(tree, traj, state.cur_views, tau,
-                                params.alpha, params.family, dilated=True)
+    traj, g, visited = _sampled_gradient(state, tree, params, tau, rng, traj,
+                                         True)
     # Freeze tau * own_reach(sigma(s)) at each visited infoset, read from
     # the strategies before this step's updates.
     reach = {PLAYER1: 1.0, PLAYER2: 1.0}
@@ -363,7 +372,6 @@ def lazy_qfr_step(state, tree, params, rng=None, traj=None):
         if not nd.is_chance:
             state.last_tau0[nd.infoset] = tau * reach[nd.owner]
             reach[nd.owner] *= state.cur_views[nd.infoset][a]
-    g, visited = _one_hot_gradient(tree, est)
     _batched_update(state, params, g, state.last_tau0,
                     rows=visited | (state.last_tau0 != 0.0))
     state.t += 1
@@ -394,11 +402,11 @@ class GameConstants(SimpleNamespace):
 
 
 def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
-                   gamma_seq=None, horizon=None, delta=0.05):
+                   horizon=None, delta=0.05):
     """Compute the bound constants used by the step-size conditions.
 
-    gamma0 is the per-infoset floor scale; gamma_seq the sequence-form mass
-    floor (defaults to the bound implied by gamma0). horizon/delta feed the
+    gamma0 is the per-infoset floor scale; the sequence-form mass floor
+    gamma_seq is the bound it implies. horizon/delta feed the
     high-probability step-size caps when given.
     """
     if horizon is not None and not horizon >= 1:
@@ -408,8 +416,7 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
     check_rate(tau=tau, gamma=gamma0)
     n = tree.num_infosets
     alpha = rate_array(tree, "alpha", alpha)
-    if gamma_seq is None:
-        gamma_seq = gamma_lower_bound(tree, gamma0) if gamma0 > 0.0 else 0.0
+    gamma_seq = gamma_lower_bound(tree, gamma0) if gamma0 > 0.0 else 0.0
     na = tree.actions_per_infoset
     # Chance mass per infoset: opponent reach under the all-ones profile.
     chance_mass = np.bincount(tree.member_infoset, minlength=n,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import PLAYER1, flatten_profile, unflatten_profile
+from .game import PLAYER1, PLAYER2, flatten_profile, unflatten_profile
 from .regularizers import check_rate, local_psi, psi_flat, rate_array
 
 CF = "cf"
@@ -46,13 +46,6 @@ class FeedbackBundle:
 
 # ---------------------------------------------------------------------------
 # Flat-array engine
-
-
-def edge_weights_flat(tree, flat):
-    """Action probability (chance probability) for every tree edge."""
-    w = tree.edge_chance_prob.copy()
-    w[tree.dec_edge] = flat[tree.dec_pair]
-    return w
 
 
 def reach_flat(tree, flat):
@@ -120,7 +113,9 @@ def value_to_go(tree, flat, tau, alpha, family):
                        -1.0, 1.0)
         t[tree.member_node] = sgn * (tau * psis[tree.member_infoset])
     t[tree.terminal_ids] = tree.terminal_utils
-    w = edge_weights_flat(tree, flat)
+    # Each edge's action (or chance) probability.
+    w = tree.edge_chance_prob.copy()
+    w[tree.dec_edge] = flat[tree.dec_pair]
     for lo, hi in reversed(tree.edge_level_slices):
         par = tree.edge_parent[lo:hi]
         ch = tree.edge_child[lo:hi]
@@ -270,37 +265,29 @@ def estimate_trajectory_q(tree, traj, profile, tau=0.0, alpha=1.0,
     if tau != 0.0 and family is None:
         raise ValueError("tau > 0 requires a regularizer family")
     est = {}
-    s1 = s2 = 0.0
-    u1 = traj.utility
+    # Per owner: the terminal payoff and the bonus sum S (index 0 unused).
+    u = [None, traj.utility, -traj.utility]
+    s = [None, 0.0, 0.0]
     scalar_alpha = np.isscalar(alpha)
     for k in range(traj.num_steps - 1, -1, -1):
         nd = tree.nodes[traj.nodes[k]]
         pk = traj.true_probs[k]
         if nd.is_chance:
             if dilated:
-                s1 /= pk
-                s2 /= pk
+                s[PLAYER1] /= pk
+                s[PLAYER2] /= pk
             continue
-        a = traj.actions[k]
-        if nd.owner == PLAYER1:
-            est[nd.infoset] = (a, (u1 + tau * s1) / pk)
-        else:
-            est[nd.infoset] = (a, (-u1 + tau * s2) / pk)
+        p = nd.owner
+        o = PLAYER1 + PLAYER2 - p
+        est[nd.infoset] = (traj.actions[k], (u[p] + tau * s[p]) / pk)
         if tau != 0.0:
             al = alpha if scalar_alpha else alpha[nd.infoset]
             psi = local_psi(profile[nd.infoset], al, family)
         else:
             psi = 0.0
-        if nd.owner == PLAYER1:
-            s1 -= psi
-            if dilated:
-                s2 /= pk
-            else:
-                s2 += psi
+        s[p] -= psi
+        if dilated:
+            s[o] /= pk
         else:
-            s2 -= psi
-            if dilated:
-                s1 /= pk
-            else:
-                s1 += psi
+            s[o] += psi
     return est

@@ -17,22 +17,28 @@ its pin-and-refit loop with every pass masked, and the step-size
 conditions of `efglab.solvers.schedule_report` by a walk over the nodes.
 The lazy QFR step has a one-row-at-a-time oracle in the paper's deferred
 form: per-infoset timestamps, and two `prox_step` solves per pending
-zero-feedback step, replayed when the infoset is next read.
+zero-feedback step, replayed when the infoset is next read. OS-MCCFR has
+its former three-pass form, which walks the trajectory once for the sample
+and others' probabilities, once for the own-probability suffixes and once
+for the updates.
 
 The helpers at the end (full simplexes, local regularizer gradients,
-opponent reach and the dilated and bidilated regularizer values) are read
-only by tests, so they live here rather than in the library.
+opponent reach, the dilated and bidilated regularizer values, and the
+per-vector and per-infoset-list forms of the projection, the tree Bregman
+divergence and the average strategy) are read only by tests, so they live
+here rather than in the library.
 """
 
 import numpy as np
 
-from efglab.game import PLAYER1, PLAYER2, flatten_profile
+from efglab.game import PLAYER1, PLAYER2, flatten_profile, unflatten_profile
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
-                                 argmax_regularized, local_psi, prox_step,
-                                 psi_flat)
-from efglab.solvers import SolverState
+                                 argmax_regularized, bregman_tree_flat,
+                                 floor_fit, local_psi, prox_step, psi_flat,
+                                 rate_array)
+from efglab.solvers import SolverState, average_flat
 from efglab.values import (Trajectory, estimate_trajectory_q, infoset_reach,
-                           reach_flat)
+                           reach_flat, sample_trajectory)
 
 
 def own_histories(nodes):
@@ -622,11 +628,97 @@ def oracle_catch_up(state, tree, params):
 
 
 # ---------------------------------------------------------------------------
+# OS-MCCFR in three passes
+
+
+def os_mccfr_step_three_pass(state, tree, params, rng):
+    """`efglab.solvers.os_mccfr_step` as three walks over the trajectory:
+    the sample and others' probabilities forward, each step's
+    own-probability suffixes backward into a dict per step, and the updates
+    forward; then regret matching one visited infoset at a time."""
+    traj = sample_trajectory(tree, state.cur_views, rng,
+                             explore_eps=params.explore_eps)
+    q_all = 1.0
+    others_all = {PLAYER1: 1.0, PLAYER2: 1.0}
+    for k in range(traj.num_steps):
+        nd = tree.nodes[traj.nodes[k]]
+        q_all *= traj.sample_probs[k]
+        if nd.is_chance or nd.owner != PLAYER1:
+            others_all[PLAYER1] *= traj.true_probs[k]
+        if nd.is_chance or nd.owner != PLAYER2:
+            others_all[PLAYER2] *= traj.true_probs[k]
+    # Own-probability products over steps strictly after k, per player;
+    # computed as suffixes so zero-probability sampled actions (possible
+    # under exploration) never force a 0/0 ratio.
+    own_suffix = [None] * traj.num_steps
+    acc = {PLAYER1: 1.0, PLAYER2: 1.0}
+    for k in range(traj.num_steps - 1, -1, -1):
+        own_suffix[k] = dict(acc)
+        nd = tree.nodes[traj.nodes[k]]
+        if not nd.is_chance:
+            acc[nd.owner] *= traj.true_probs[k]
+    u1 = traj.utility
+    q_pref = 1.0
+    own_true = {PLAYER1: 1.0, PLAYER2: 1.0}
+    visited = np.zeros(tree.num_infosets, dtype=bool)
+    for k in range(traj.num_steps):
+        nd = tree.nodes[traj.nodes[k]]
+        if not nd.is_chance:
+            p = nd.owner
+            si = nd.infoset
+            a = traj.actions[k]
+            own_incl = own_true[p] * traj.true_probs[k]
+            u_p = u1 if p == PLAYER1 else -u1
+            v = u_p * others_all[p] * own_suffix[k][p] / q_all
+            off = tree.infoset_offset[si]
+            na = tree.actions_per_infoset[si]
+            pi_a = state.cur[off + a]
+            state.regret[off:off + na] -= pi_a * v
+            state.regret[off + a] += v
+            state.strat_sum[off:off + na] += ((own_true[p] / q_pref)
+                                              * state.cur[off:off + na])
+            own_true[p] = own_incl
+            visited[si] = True
+        q_pref *= traj.sample_probs[k]
+    # Regret matching at the visited infosets, one at a time.
+    for si in np.flatnonzero(visited):
+        off = tree.infoset_offset[si]
+        na = tree.actions_per_infoset[si]
+        pos = np.maximum(state.regret[off:off + na], 0.0)
+        tot = pos.sum()
+        state.cur[off:off + na] = pos / tot if tot > 0.0 else 1.0 / na
+    state.t += 1
+    return traj
+
+
+# ---------------------------------------------------------------------------
 # Test-only helpers
 
 
 def full_simplex(n):
     return TruncatedSimplex(0.0, np.full(n, 1.0 / n))
+
+
+def project_truncated_simplex(z, simplex):
+    """Euclidean projection of z onto a truncated simplex: a one-row
+    `floor_fit`."""
+    z = np.asarray(z, dtype=np.float64)
+    return floor_fit(EUCLIDEAN, z[None, :], np.asarray([simplex.gamma]),
+                     simplex.nu[None, :])[0]
+
+
+def bregman_tree(tree, profile, ref_profile, player, alpha, family):
+    """`bregman_tree_flat`'s divergence for one player, between two
+    per-infoset lists."""
+    alpha = rate_array(tree, "alpha", alpha)
+    return bregman_tree_flat(tree, flatten_profile(tree, profile),
+                             flatten_profile(tree, ref_profile), alpha,
+                             family)[player - PLAYER1]
+
+
+def average_profile(state, tree):
+    """`average_flat` as a per-infoset list."""
+    return unflatten_profile(tree, average_flat(state, tree))
 
 
 def local_psi_grad(x, alpha, family):

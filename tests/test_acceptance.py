@@ -12,16 +12,16 @@ from efglab.evaluate import (bregman_to_reference, compute_reference,
 from efglab.game import PLAYER1, PLAYER2, expected_utility, uniform_profile
 from efglab.games import build_kuhn, build_leduc
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
-                                 bregman_local, bregman_tree, local_psi,
-                                 project_truncated_simplex, prox_step)
-from efglab.solvers import (SolverParams, SolverState, average_profile,
-                            cfr_plus_step, check_m_bounds, game_constants,
-                            lazy_qfr_step, qfr_full_step,
-                            qfr_stochastic_step)
+                                 bregman_local, local_psi, prox_step)
+from efglab.solvers import (SolverParams, SolverState, cfr_plus_step,
+                            check_m_bounds, game_constants, lazy_qfr_step,
+                            qfr_full_step, qfr_stochastic_step)
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            estimate_trajectory_q, sample_trajectory)
-from oracles import (LazyOracleState, bregman_tree_direct, oracle_catch_up,
-                     oracle_lazy_step, prox_objectives, to_sequence_form)
+from oracles import (LazyOracleState, average_profile, bregman_tree,
+                     bregman_tree_direct, oracle_catch_up, oracle_lazy_step,
+                     project_truncated_simplex, prox_objectives,
+                     to_sequence_form)
 
 # Bound violations recorded by the convergence runs (criteria 5 and 6) and
 # audited by criterion 7; pytest executes this file top to bottom.
@@ -288,8 +288,10 @@ def test_criterion_8_lazy_eager_equivalence():
 
 def test_criterion_9_constants_table_instances():
     tree = build_kuhn()
-    c_tq = game_constants(tree, TRAJQ, ENTROPY, gamma_seq=0.1)
-    assert c_tq.m2 == pytest.approx(1.0 / 0.1)
+    # Kuhn's sequence-form floor is gamma0 ** 2 / 12: own depth 2, 12
+    # infosets.
+    c_tq = game_constants(tree, TRAJQ, ENTROPY, gamma0=0.6)
+    assert c_tq.m2 == pytest.approx(12.0 / 0.6 ** 2)
     c_cf = game_constants(tree, CF, ENTROPY, gamma0=0.1)
     assert c_cf.m1 == 1.0 and c_cf.m2 == 1.0
     c_q = game_constants(tree, QVALUE, ENTROPY, gamma0=0.1)

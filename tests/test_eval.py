@@ -385,7 +385,7 @@ def test_average_regret_bounds_exploitability(kuhn):
     T = 500
     for _ in range(T):
         cfr_step(state, kuhn, params)
-    from efglab.solvers import average_profile
+    from oracles import average_profile
     avg = average_profile(state, kuhn)
     bound = 0.0
     for player in (PLAYER1, PLAYER2):

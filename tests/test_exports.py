@@ -10,8 +10,8 @@ EXPORTS = [
     "GameTree", "GameValidationError", "Infoset", "Node", "PLAYER1",
     "PLAYER2", "QVALUE", "RunConfig", "RunOutcome", "ScheduleReport",
     "SolverParams", "SolverState", "TRAJQ", "Trajectory", "TruncatedSimplex",
-    "argmax_regularized", "average_profile", "best_response",
-    "bregman_local", "bregman_to_reference", "bregman_tree",
+    "argmax_regularized", "best_response",
+    "bregman_local", "bregman_to_reference",
     "build_kuhn", "build_leduc", "build_matching_pennies", "cfr_plus_step",
     "cfr_step", "check_m_bounds", "compute_feedback", "compute_reference",
     "dump_game", "estimate_trajectory_q", "expected_utility",
@@ -20,7 +20,7 @@ EXPORTS = [
     "lazy_catch_up", "lazy_qfr_step", "load_game", "local_psi",
     "lr_schedule", "mmd_step",
     "os_mccfr_step", "perturbed_regularized_gap", "pga_step",
-    "project_truncated_simplex", "prox_step", "qfr_full_step",
+    "prox_step", "qfr_full_step",
     "qfr_lazy_eager_step",
     "qfr_stochastic_step", "random_profile", "resolve_game", "run",
     "run_single", "sample_trajectory", "schedule_report",

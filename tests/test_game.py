@@ -489,7 +489,8 @@ def test_gamma_lower_bound_single_infoset():
 
 
 def test_perturbation_floor_property(kuhn, rng):
-    from efglab.regularizers import TruncatedSimplex, project_truncated_simplex
+    from efglab.regularizers import TruncatedSimplex
+    from oracles import project_truncated_simplex
     gamma0 = 0.1
     nu = exploration_distribution(kuhn)
     prof = random_profile(kuhn, rng)

@@ -123,7 +123,7 @@ def test_leduc_run_tracks_bregman_to_reference(tmp_path):
 def test_evaluation_rows_convert_no_per_infoset_list(kuhn, monkeypatch):
     # The harness hands the evaluators flat pair arrays; only a reference
     # given as a list is converted, once per run.
-    from efglab import evaluate, game, regularizers, values
+    from efglab import evaluate, game, values
     conversions = []
     flatten = game.flatten_profile
 
@@ -132,7 +132,7 @@ def test_evaluation_rows_convert_no_per_infoset_list(kuhn, monkeypatch):
             conversions.append(len(profile))
         return flatten(tree, profile)
 
-    for mod in (game, values, regularizers, evaluate, harness):
+    for mod in (game, values, evaluate, harness):
         monkeypatch.setattr(mod, "flatten_profile", counted)
     reference = uniform_profile(kuhn)
     for algo, feedback in (("qfr", "q"), ("qfr-stoch", "tq"),
@@ -424,7 +424,10 @@ def test_cli_bestresp_rejects_malformed_profile(tmp_path, capsys, row,
     assert "exploitability" not in captured.out
 
 
-def test_cli_run_reports_non_finite_metric(tmp_path, capsys, nan_pga):
+def test_cli_run_reports_non_finite_metric(tmp_path, capsys, monkeypatch):
+    # A finite iterate whose exploitability reads NaN.
+    monkeypatch.setattr(harness, "exploitability",
+                        lambda tree, flat: float("nan"))
     out = tmp_path / "r.csv"
     rc = cli_main(["run", "--game", "kuhn", "--algo", "pga",
                    "--feedback", "cf", "--reg", "euclidean",
@@ -437,6 +440,47 @@ def test_cli_run_reports_non_finite_metric(tmp_path, capsys, nan_pga):
     lines = _read_csv(out)
     assert lines[0] == EXPECTED_HEADER.split(",")
     assert lines[1][2] == "nan"
+
+
+def test_cli_run_names_the_step_that_made_the_iterate_non_finite(capsys):
+    rc = cli_main(["run", "--game", "kuhn", "--algo", "mmd", "--feedback",
+                   "q", "--reg", "euclidean", "--alpha", "1e-300", "--eta",
+                   "1e300", "--tau", "0.1", "--gamma", "0.01", "--iters",
+                   "150", "--eval-every", "100"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: non-finite iterate at seed 0 iteration 1"]
+
+
+def test_run_keeps_the_first_non_finite_iterate_in_seed_order(monkeypatch):
+    # Seed s's iterate turns NaN at step 3 - s: seed 1's at step 2, seed
+    # 2's at step 1.
+    from efglab import solvers
+    pga_step, original_run_single = solvers.pga_step, harness.run_single
+    seeds = []
+
+    def step(state, tree, params):
+        pga_step(state, tree, params)
+        if state.t >= 3 - seeds[-1]:
+            state.cur[0] = np.nan
+
+    def seeded_run_single(cfg, seed, *args):
+        seeds.append(seed)
+        return original_run_single(cfg, seed, *args)
+
+    monkeypatch.setattr(solvers, "pga_step", step)
+    monkeypatch.setattr(harness, "run_single", seeded_run_single)
+    cfg = RunConfig(algo="pga", feedback="cf", iters=4, seed=1, reps=2)
+    assert [harness.run_single(cfg, s).nonfinite_iterate
+            for s in (1, 2)] == [(1, 2), (2, 1)]
+    assert run(cfg).nonfinite_iterate == (1, 2)
+
+
+def test_a_finite_run_records_no_non_finite_iterate():
+    cfg = RunConfig(algo="qfr-stoch", feedback="tq", tau=0.1, gamma=0.01,
+                    iters=50, eval_every=25)
+    assert run_single(cfg, 0).nonfinite_iterate is None
+    assert run(replace(cfg, reps=2)).nonfinite_iterate is None
 
 
 @pytest.mark.parametrize("argv", [

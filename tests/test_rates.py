@@ -7,10 +7,8 @@ import pytest
 
 from efglab.evaluate import (bregman_to_reference, compute_reference,
                              perturbed_regularized_gap)
-from efglab.game import PLAYER1
 from efglab.regularizers import (ENTROPY, TruncatedSimplex,
-                                 argmax_regularized, bregman_tree, prox_step,
-                                 rate_array)
+                                 argmax_regularized, prox_step, rate_array)
 from efglab.solvers import (SolverParams, game_constants, lr_schedule,
                             schedule_report)
 from efglab.values import QVALUE, compute_feedback
@@ -45,10 +43,6 @@ ENTRY_POINTS = {
     "bregman_to_reference": (
         ("alpha",),
         lambda t, alpha: bregman_to_reference(t, UNUSED, UNUSED, alpha)),
-    "bregman_tree": (
-        ("alpha",),
-        lambda t, alpha: bregman_tree(t, UNUSED, UNUSED, PLAYER1, alpha,
-                                      ENTROPY)),
     "compute_feedback": (
         ("tau", "alpha"),
         lambda t, tau=0.1, alpha=1.0: compute_feedback(t, UNUSED, QVALUE, tau,
@@ -76,7 +70,7 @@ PER_INFOSET = [
     ("game_constants", "alpha"), ("schedule_report", "eta"),
     ("schedule_report", "alpha"), ("perturbed_regularized_gap", "alpha"),
     ("perturbed_regularized_gap", "gamma"), ("bregman_to_reference", "alpha"),
-    ("bregman_tree", "alpha"), ("compute_feedback", "alpha"),
+    ("compute_feedback", "alpha"),
     ("compute_reference", "alpha"), ("compute_reference", "gamma")]
 
 

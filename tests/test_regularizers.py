@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from efglab.game import PLAYER1, PLAYER2, random_profile, uniform_profile
 from efglab.games import build_kuhn, build_matching_pennies
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
-                                 argmax_regularized, bregman_local,
-                                 bregman_tree, floor_fit, local_psi,
-                                 project_truncated_simplex, prox_step,
-                                 psi_flat)
-from oracles import (bidilated_psi, bregman_tree_direct, dilated_psi,
-                     entropy_floor_fit_sort, floor_fit_masked, full_simplex,
-                     infoset_members, local_psi_grad, project_floored_sort,
+                                 argmax_regularized, bregman_local, floor_fit,
+                                 local_psi, prox_step, psi_flat)
+from oracles import (bidilated_psi, bregman_tree, bregman_tree_direct,
+                     dilated_psi, entropy_floor_fit_sort, floor_fit_masked,
+                     full_simplex, infoset_members, local_psi_grad,
+                     project_floored_sort, project_truncated_simplex,
                      prox_objectives, reach_probabilities)
 
 

@@ -11,14 +11,14 @@ from efglab.game import (PLAYER1, PLAYER2, dump_game, load_game,
 from efglab.games import build_kuhn, build_leduc, build_matching_pennies
 from efglab.regularizers import ENTROPY, EUCLIDEAN, TruncatedSimplex
 from efglab.solvers import (GameConstants, SolverParams, SolverState,
-                            average_profile, cfr_plus_step, cfr_step,
-                            check_m_bounds, game_constants, lazy_qfr_step,
-                            lr_schedule, mmd_step, os_mccfr_step, pga_step,
-                            qfr_full_step, qfr_stochastic_step,
-                            schedule_report)
+                            cfr_plus_step, cfr_step, check_m_bounds,
+                            game_constants, lazy_qfr_step, lr_schedule,
+                            mmd_step, os_mccfr_step, pga_step, qfr_full_step,
+                            qfr_stochastic_step, schedule_report)
 from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            sample_trajectory)
-from oracles import (LazyOracleState, oracle_catch_up, oracle_lazy_step,
+from oracles import (LazyOracleState, average_profile, oracle_catch_up,
+                     oracle_lazy_step, os_mccfr_step_three_pass,
                      schedule_report_walk, to_sequence_form)
 
 
@@ -89,6 +89,20 @@ def test_solver_params_rejects_bad_rates(kuhn, name, value):
         per_infoset[3] = value
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SolverParams(kuhn, **{name: per_infoset})
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("family", "bogus", "family must be one of entropy, euclidean, got "
+                        "'bogus'"),
+    ("anneal_every", -1, "anneal_every must be an integer >= 0, got -1"),
+    ("anneal_every", 2.0, "anneal_every must be an integer >= 0, got 2.0"),
+    ("anneal_every", True, "anneal_every must be an integer >= 0, got True")])
+def test_solver_params_rejects_a_bad_family_or_anneal_every(kuhn, name, value,
+                                                            message):
+    # A negative anneal_every would double tau every step instead of
+    # decaying it, and an unknown family would fail only at the first prox.
+    with pytest.raises(ValueError, match=message):
+        SolverParams(kuhn, tau=0.1, anneal_decay=0.5, **{name: value})
 
 
 def test_solver_params_groups_are_the_trees(leduc):
@@ -463,6 +477,29 @@ def test_os_mccfr_regret_matching_equals_the_per_infoset_rule(
             assert np.array_equal(state.cur, want)
 
 
+@pytest.mark.parametrize("game, steps", [("kuhn", 2000), ("leduc", 300)])
+@pytest.mark.parametrize("eps", [0.6, 1.0])
+def test_os_mccfr_equals_its_three_pass_form_bit_for_bit(request, game, steps,
+                                                         eps):
+    tree = request.getfixturevalue(game)
+    params = SolverParams(tree, feedback=CF, explore_eps=eps)
+    state, oracle = SolverState(tree, params), SolverState(tree, params)
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    zero_probability_draws = 0
+    for _ in range(steps):
+        traj = os_mccfr_step(state, tree, params, rng)
+        os_mccfr_step_three_pass(oracle, tree, params, oracle_rng)
+        zero_probability_draws += 0.0 in traj.true_probs
+        for name in ("regret", "strat_sum", "cur"):
+            assert np.array_equal(getattr(state, name),
+                                  getattr(oracle, name)), name
+    if eps == 1.0:
+        # Uniform sampling draws actions that regret matching plays with
+        # probability 0; the suffix products keep the steps before such a
+        # draw free of a 0/0 ratio.
+        assert zero_probability_draws > 0
+
+
 # ---------------------------------------------------------------------------
 # MMD
 
@@ -627,8 +664,10 @@ def test_game_constants_log1g_and_tau_term(kuhn):
 
 
 def test_game_constants_m_values(kuhn):
-    c = game_constants(kuhn, TRAJQ, ENTROPY, gamma_seq=0.1)
-    assert c.m2 == pytest.approx(10.0)
+    # Kuhn's sequence-form floor is gamma0 ** 2 / 12: own depth 2, 12
+    # infosets.
+    c = game_constants(kuhn, TRAJQ, ENTROPY, gamma0=0.6)
+    assert c.m2 == pytest.approx(12.0 / 0.6 ** 2)
     assert c.m1 == 1.0
     c = game_constants(kuhn, CF, ENTROPY, gamma0=0.1)
     assert c.m1 == 1.0 and c.m2 == 1.0
