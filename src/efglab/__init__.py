@@ -23,6 +23,6 @@ from .evaluate import (best_response, bregman_to_reference,
                        compute_reference, exploitability,
                        perturbed_regularized_gap)
 from .harness import RunConfig, RunOutcome, grid, resolve_game, run, \
-    run_single, write_csv
+    run_single
 
 __version__ = "0.1.0"

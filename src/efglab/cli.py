@@ -4,17 +4,35 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
-from .evaluate import best_response, exploitability
+from .evaluate import best_response
 from .game import GameError, _is_number, uniform_profile, validate_profile
-from .harness import (ALGOS, CSV_FIELDS, REGS, RunConfig, grid, resolve_game,
-                      run)
+from .harness import (ALGOS, CSV_FIELDS, REGS, RUN_FIELDS, RunConfig, grid,
+                      resolve_game, run)
 from .solvers import game_constants, lr_schedule, schedule_report
-from .values import FEEDBACK_KINDS
+from .values import FEEDBACK_KINDS, TRAJQ
 
 INPUT_ERRORS = (OSError, ValueError, GameError)
+
+
+# Help for the run flags that take free text, and the choices of those that
+# take a name; RunConfig gives every flag its type and its default.
+_HELP = {"game": "kuhn, leduc, or path to a JSON game file",
+         "schedule": "'uniform' or 'depth:RATIO'", "out": "CSV output path"}
+_CHOICES = {"algo": ALGOS, "feedback": FEEDBACK_KINDS, "reg": REGS}
+
+
+def _add_run_flags(p, names):
+    """One flag per RunConfig field in `names`, in field order."""
+    for f in fields(RunConfig):
+        if f.name in names:
+            kind = ({"action": "store_true"} if f.type is bool else
+                    {"type": f.type, "choices": _CHOICES.get(f.name)})
+            p.add_argument("--" + f.name.replace("_", "-"),
+                           help=_HELP.get(f.name), **kind)
 
 
 def _parser():
@@ -23,28 +41,9 @@ def _parser():
         description="Extensive-form game solver laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # RunConfig holds the defaults of `run` and `constants`.
     p = sub.add_parser("run", help="run one algorithm configuration",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--game", help="kuhn, leduc, or path to a JSON game file")
-    p.add_argument("--algo", choices=ALGOS)
-    p.add_argument("--feedback", choices=FEEDBACK_KINDS)
-    p.add_argument("--reg", choices=REGS)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--schedule", help="'uniform' or 'depth:RATIO'")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--explore-eps", type=float)
-    p.add_argument("--anneal-decay", type=float)
-    p.add_argument("--anneal-every", type=int)
-    p.add_argument("--track-bregman", action="store_true")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out", help="CSV output path")
+    _add_run_flags(p, RUN_FIELDS)
 
     p = sub.add_parser("grid", help="grid search over eta/tau/gamma")
     p.add_argument("--spec", required=True,
@@ -53,14 +52,9 @@ def _parser():
     p = sub.add_parser("constants",
                        help="bound constants and schedule conformance",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--game")
-    p.add_argument("--feedback", default="tq", choices=FEEDBACK_KINDS)
-    p.add_argument("--reg", choices=REGS)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--schedule")
+    _add_run_flags(p, ("game", "feedback", "reg", "alpha", "eta", "schedule",
+                       "tau", "gamma"))
+    p.set_defaults(feedback=TRAJQ)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--delta", type=float, default=0.05)
 
@@ -133,7 +127,6 @@ def _constants(horizon, delta, **fields):
         "game": tree.name,
         "num_infosets": tree.num_infosets,
         "gamma_seq": c.gamma_seq,
-        "gamma_seq_bound": c.gamma_seq,
         "m1": c.m1, "m2": c.m2,
         "q_bound": c.q_bound, "q_bound_sampled": c.q_bound_sampled,
         "psi_max": c.psi_max, "psi_max_paper": c.psi_max_paper,
@@ -181,7 +174,7 @@ def _bestresp(game, profile):
     v2, _ = best_response(tree, profile, 2)
     print(f"best response value (player 1): {v1:.10g}")
     print(f"best response value (player 2): {v2:.10g}")
-    print(f"exploitability: {exploitability(tree, profile):.10g}")
+    print(f"exploitability: {v1 + v2:.10g}")
     return 0
 
 

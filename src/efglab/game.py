@@ -357,14 +357,14 @@ def unflatten_profile(tree, flat):
             zip(tree.infoset_offset, tree.actions_per_infoset)]
 
 
-def validate_profile(tree, profile, atol=1e-9):
+def validate_profile(tree, profile):
     """Raise ValueError unless `profile` (in a form flatten_profile takes)
-    holds a finite distribution at every infoset."""
+    holds a finite distribution, to within 1e-9, at every infoset."""
     flat = flatten_profile(tree, profile)
     for si, x in enumerate(unflatten_profile(tree, flat)):
         if not np.all(np.isfinite(x)):
             raise ValueError(f"profile[{si}]: non-finite entries")
-        if np.any(x < -atol) or abs(x.sum() - 1.0) > atol:
+        if np.any(x < -1e-9) or abs(x.sum() - 1.0) > 1e-9:
             raise ValueError(f"profile[{si}]: not a distribution")
 
 

@@ -31,8 +31,13 @@ from .solvers import (SolverParams, SolverState, average_flat, check_choice,
 from .values import (FEEDBACK_KINDS, TRAJQ, infoset_reach, multiplier,
                      reach_flat)
 
-ALGOS = ("qfr", "qfr-stoch", "qfr-lazy", "pga", "cfr", "cfrplus", "osmccfr",
-         "mmd")
+# Each algorithm's step in `solvers`, looked up by name when a run starts,
+# so a step patched on the module takes effect.
+_STEPS = {"qfr": "qfr_full_step", "qfr-stoch": "qfr_stochastic_step",
+          "qfr-lazy": "lazy_qfr_step", "pga": "pga_step", "cfr": "cfr_step",
+          "cfrplus": "cfr_plus_step", "osmccfr": "os_mccfr_step",
+          "mmd": "mmd_step"}
+ALGOS = tuple(_STEPS)
 OPTIMISTIC = ("qfr", "qfr-stoch", "qfr-lazy")
 AVERAGING = ("cfr", "cfrplus", "osmccfr")
 SAMPLED = ("qfr-stoch", "qfr-lazy")
@@ -163,17 +168,9 @@ def run_single(cfg, seed, reference=None, tree=None):
         constants = game_constants(tree, params.feedback, cfg.reg,
                                    cfg.alpha, cfg.tau, cfg.gamma)
 
-    step = {
-        "qfr": lambda: solvers.qfr_full_step(state, tree, params),
-        "qfr-stoch": lambda: solvers.qfr_stochastic_step(
-            state, tree, params, rng),
-        "qfr-lazy": lambda: solvers.lazy_qfr_step(state, tree, params, rng),
-        "pga": lambda: solvers.pga_step(state, tree, params),
-        "cfr": lambda: solvers.cfr_step(state, tree, params),
-        "cfrplus": lambda: solvers.cfr_plus_step(state, tree, params),
-        "osmccfr": lambda: solvers.os_mccfr_step(state, tree, params, rng),
-        "mmd": lambda: solvers.mmd_step(state, tree, params),
-    }[cfg.algo]
+    step = getattr(solvers, _STEPS[cfg.algo])
+    args = (state, tree, params) + (
+        (rng,) if cfg.algo in (*SAMPLED, "osmccfr") else ())
 
     t0 = time.perf_counter()
     rows = []
@@ -184,7 +181,7 @@ def run_single(cfg, seed, reference=None, tree=None):
     # every step after it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, cfg.iters + 1):
-            step()
+            step(*args)
             if nonfinite is None and not np.isfinite(state.cur).all():
                 nonfinite = (seed, it)
             if it == cfg.iters or (cfg.eval_every
@@ -242,14 +239,8 @@ def _fmt(v):
     return repr(float(v))
 
 
-def write_csv(rows, path):
-    """Write convergence rows with the fixed header, '.' decimals and
-    newline-only line endings; untracked metrics stay empty."""
-    with open(path, "w", newline="") as f:
-        _write_rows(f, CSV_FIELDS, rows, _fmt)
-
-
 def _write_rows(f, header, rows, fmt):
+    """CSV of `rows` under `header`, each value formatted by `fmt`."""
     w = csv.writer(f, lineterminator="\n")
     w.writerow(header)
     w.writerows([fmt(row[k]) for k in header] for row in rows)

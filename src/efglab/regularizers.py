@@ -252,7 +252,6 @@ def argmax_batch(family, Q, tau0, alpha, gamma, NU):
     """
     if family not in (ENTROPY, EUCLIDEAN):
         raise ValueError(f"unknown regularizer family {family!r}")
-    NU = np.broadcast_to(NU, Q.shape)
     out = np.empty_like(Q)
     vert = tau0 <= 0.0
     if np.any(vert):

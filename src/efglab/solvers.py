@@ -401,6 +401,8 @@ class GameConstants(SimpleNamespace):
     """
 
 
+# Infinite and NaN constants are results, not faults: no numpy warning.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
                    horizon=None, delta=0.05):
     """Compute the bound constants used by the step-size conditions.
@@ -475,18 +477,15 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
     else:  # QVALUE, ENTROPY
         c_minus = ones * 12.0 * m2 * max_k_ent
         c_slash = ones * 12.0 * max_k_ent
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_eta = np.where(c_minus > 0.0,
-                         gamma_seq * chance_mass / (2.0 * c_minus), np.inf)
+    c_eta = np.where(c_minus > 0.0,
+                     gamma_seq * chance_mass / (2.0 * c_minus), np.inf)
     c_eta_T = None
     c_visit = None
     if horizon is not None:
         logfac = np.log(horizon) + np.log(n) + np.log(1.0 / delta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_eta_T = np.where(
-                c_minus > 0.0,
-                gamma_seq ** 2 * chance_mass / (2.0 * c_minus * logfac),
-                np.inf)
+        c_eta_T = np.where(
+            c_minus > 0.0,
+            gamma_seq ** 2 * chance_mass / (2.0 * c_minus * logfac), np.inf)
         c_visit = (logfac / (gamma_seq ** 2 * min_chance)
                    if gamma_seq > 0.0 else np.inf)
 
@@ -516,7 +515,7 @@ class ScheduleReport:
         return self.cond_a_ok and self.cond_b_ok and self.cond_c_ok
 
 
-def schedule_report(tree, eta, constants, alpha=1.0, tol=1e-12):
+def schedule_report(tree, eta, constants, alpha=1.0):
     """Check the three step-size conditions for a schedule.
 
     (A) at every infoset the sum of the owner's step sizes along its own
@@ -526,7 +525,7 @@ def schedule_report(tree, eta, constants, alpha=1.0, tol=1e-12):
         * max_s(2 q_bound / alpha_s + (tau / M1) log(1/gamma)) <= 1;
     (C) eta_s * (2 q_bound + tau alpha_s / M1 * log(1/gamma)) <= 1.
 
-    Each violation list holds (infoset, value) in ascending infoset order.
+    Violations (past a 1e-12 slack) list (infoset, value) by ascending infoset.
     """
     eta = rate_array(tree, "eta", eta)
     alpha = rate_array(tree, "alpha", alpha)
@@ -563,15 +562,15 @@ def schedule_report(tree, eta, constants, alpha=1.0, tol=1e-12):
     c_val = eta * (2.0 * c.q_bound + pull)
 
     va, vb, vc = ([(int(si), val[si]) for si in np.flatnonzero(bad)]
-                  for val, bad in ((a_val, a_val > eta + tol),
-                                   (b_val, b_val > 1.0 + tol),
-                                   (c_val, c_val > 1.0 + tol)))
+                  for val, bad in ((a_val, a_val > eta + 1e-12),
+                                   (b_val, b_val > 1.0 + 1e-12),
+                                   (c_val, c_val > 1.0 + 1e-12)))
     return ScheduleReport(not va, not vb, not vc, va, vb, vc)
 
 
-def check_m_bounds(m, constants, tol=1e-9):
-    """Number of hard violations of M1 <= m_s <= M2."""
+def check_m_bounds(m, constants):
+    """Number of hard violations of M1 <= m_s <= M2, to within 1e-9."""
     m = np.asarray(m, dtype=np.float64)
-    lo = constants.m1 - tol
-    hi = constants.m2 + tol if np.isfinite(constants.m2) else np.inf
+    lo = constants.m1 - 1e-9
+    hi = constants.m2 + 1e-9 if np.isfinite(constants.m2) else np.inf
     return int(np.sum((m < lo) | (m > hi)))

@@ -25,7 +25,6 @@ EXPORTS = [
     "qfr_stochastic_step", "random_profile", "resolve_game", "run",
     "run_single", "sample_trajectory", "schedule_report",
     "unflatten_profile", "uniform_profile", "validate_profile",
-    "write_csv",
 ]
 
 

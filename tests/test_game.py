@@ -155,8 +155,33 @@ def _leaf():
     ([_p1(0, [1, 2]), _leaf(), _leaf(), _leaf()],
      "node 3 unreachable from root"),
     ([_p1(0, [1, 2]), _leaf(), _leaf()], "infoset 1 has no member nodes"),
+    ([], "game has no nodes"),
+    ([_p1(0, [1, 2]), Node(), _leaf()], "terminal node 1 missing utility"),
+    ([_p1(0, [1, 2]), Node(utility=0.0, children=[2]), _leaf()],
+     "terminal node 1 has children"),
+    ([Node(owner=PLAYER1, infoset=0, actions=["l", "r"]), _leaf()],
+     "non-terminal node 0 has no children"),
+    ([_p1(0, [1]), _leaf()], "node 0: actions/children mismatch"),
+    ([Node(owner=CHANCE, actions=["a", "b"], children=[1, 2],
+           chance_probs=[0.5, 0.3, 0.2]), _leaf(), _leaf()],
+     "chance node 0: bad prob vector"),
+    ([Node(owner=CHANCE, actions=["a", "b"], children=[1, 2],
+           chance_probs=[1.0, 0.0]), _leaf(), _leaf()],
+     "chance node 0: non-positive outcome probability"),
+    ([Node(owner=7, infoset=0, actions=["l", "r"], children=[1, 2]),
+      _leaf(), _leaf()], "node 0: bad owner 7"),
+    ([_p1(2, [1, 2]), _leaf(), _leaf()], "node 0: bad infoset id"),
+    ([Node(owner=PLAYER2, infoset=0, actions=["l", "r"], children=[1, 2]),
+      _leaf(), _leaf()], "node 0: infoset 0 owner mismatch"),
+    ([Node(owner=PLAYER1, infoset=0, actions=["r", "l"], children=[1, 2]),
+      _leaf(), _leaf()], "node 0: infoset 0 action labels differ"),
+    ([_p1(0, [0, 0])], "game has no terminal nodes"),
 ], ids=["out-of-range", "not-topological", "two-parents", "unreachable",
-        "no-members"])
+        "no-members", "no-nodes", "terminal-without-utility",
+        "terminal-with-children", "non-terminal-without-children",
+        "actions-children-mismatch", "bad-prob-vector",
+        "non-positive-chance-prob", "bad-owner", "bad-infoset-id",
+        "owner-mismatch", "labels-differ", "no-terminal"])
 def test_faulty_structure_is_rejected_with_its_message(nodes, message):
     infosets = [Infoset(PLAYER1, ["l", "r"]), Infoset(PLAYER2, [])]
     with pytest.raises(GameValidationError, match=f"^{re.escape(message)}$"):
@@ -253,6 +278,65 @@ def test_load_rejects_entries_of_the_wrong_type(edit):
     assert load_game(doc).num_infosets == 1
     edit(doc)
     with pytest.raises(GameFormatError):
+        load_game(doc)
+
+
+def _add_terminal(doc, oid):
+    doc["nodes"].append({"id": oid, "kind": "terminal", "utility_p1": 0.0})
+
+
+def _terminal_with_actions(doc):
+    doc["nodes"][2]["actions"] = [{"label": "y", "child": 4}]
+    _add_terminal(doc, 4)
+
+
+def _decision_without_actions(doc):
+    del doc["nodes"][1]["actions"]
+    del doc["nodes"][2]
+
+
+def _infoset_relabelled(doc):
+    """Node 3 becomes a second member of infoset 0 with another label."""
+    doc["nodes"][3] = {"id": 3, "kind": "p1", "infoset": 0,
+                       "actions": [{"label": "y", "child": 4}]}
+    _add_terminal(doc, 4)
+
+
+def _no_decision_node(doc):
+    doc["nodes"][1:3] = [{"id": 1, "kind": "terminal", "utility_p1": 0.0}]
+
+
+# One edit per structural rule of the document, each with its message.
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("root"), "missing required field: 'root'"),
+    (lambda doc: doc.update(nodes=[]), "'nodes' must be a non-empty list"),
+    (lambda doc: doc["nodes"][3].update(id=2), "duplicate node id 2"),
+    (lambda doc: doc.update(root=9), "root id 9 not present"),
+    (lambda doc: doc["nodes"][1]["actions"][0].update(child=9),
+     "child id 9 not present"),
+    (lambda doc: doc["nodes"][1]["actions"][0].update(child=3),
+     "node 3 reached twice (not a tree)"),
+    (lambda doc: _add_terminal(doc, 4), "document contains unreachable nodes"),
+    (_terminal_with_actions, "terminal node 2: has actions"),
+    (_decision_without_actions, "node 1: non-terminal without actions"),
+    (lambda doc: doc["nodes"][0].update(infoset=0),
+     "chance node 0: has infoset"),
+    (lambda doc: doc["nodes"][1]["actions"][0].update(prob=1.0),
+     "decision node 1: prob only allowed at chance nodes"),
+    (_infoset_relabelled, "infoset 0: inconsistent owner or action labels"),
+    (lambda doc: doc["nodes"][1].update(infoset=1),
+     "infoset ids must be dense from 0"),
+    (_no_decision_node, "game has no decision nodes"),
+], ids=["missing field", "nodes empty", "duplicate id", "root absent",
+        "child absent", "reached twice", "unreachable",
+        "terminal with actions", "decision without actions",
+        "chance with infoset", "prob at decision", "infoset inconsistent",
+        "infoset ids not dense", "no decision nodes"])
+def test_load_rejects_a_faulty_document_with_its_message(edit, message):
+    doc = _coin_doc()
+    assert load_game(doc).num_infosets == 1
+    edit(doc)
+    with pytest.raises(GameFormatError, match=f"^{re.escape(message)}$"):
         load_game(doc)
 
 
@@ -511,6 +595,15 @@ def test_validate_profile_rejects_non_finite(kuhn, row):
     prof = uniform_profile(kuhn)
     prof[3] = np.asarray(row)
     with pytest.raises(ValueError, match="non-finite"):
+        validate_profile(kuhn, prof)
+
+
+@pytest.mark.parametrize("row", [[0.7, 0.7], [1.5, -0.5], [0.5, 0.5 - 2e-9]])
+def test_validate_profile_rejects_a_row_off_the_simplex(kuhn, row):
+    prof = uniform_profile(kuhn)
+    validate_profile(kuhn, prof)
+    prof[3] = np.asarray(row)
+    with pytest.raises(ValueError, match=r"^profile\[3\]: not a distribution$"):
         validate_profile(kuhn, prof)
 
 

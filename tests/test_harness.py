@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,13 @@ import pytest
 import efglab
 from efglab import cli, harness
 from efglab.cli import main as cli_main
+from efglab.evaluate import exploitability
 from efglab.game import dump_game, uniform_profile
 from efglab.games import build_matching_pennies
 from efglab.harness import (CSV_FIELDS, PAPER_GRID, RUN_FIELDS, RunConfig,
                             grid, resolve_game, run, run_single)
+from efglab.solvers import game_constants
+from efglab.values import TRAJQ
 
 EXPECTED_HEADER = "seed,iter,expl_last,expl_avg,reg_gap,bregman_ref,wall_ms"
 
@@ -391,6 +395,41 @@ def test_cli_constants_writes_nothing_to_stderr():
     assert json.loads(proc.stdout)["schedule"]["violations"]["b"] == 9
 
 
+def test_cli_constants_horizon_writes_the_high_probability_caps(capsys):
+    flags = ["constants", "--game", "kuhn", "--gamma", "0.1", "--tau", "0.01"]
+    assert cli_main(flags) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "c_eta_T_min" not in doc and "c_visit" not in doc
+    assert cli_main(flags + ["--horizon", "1000", "--delta", "0.1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # The default feedback of `constants` is tq.
+    want = game_constants(resolve_game("kuhn"), TRAJQ, "entropy", tau=0.01,
+                          gamma0=0.1, horizon=1000, delta=0.1)
+    assert doc["c_eta_T_min"] == float(np.min(want.c_eta_T))
+    assert doc["c_visit"] == want.c_visit
+    assert 0.0 < doc["c_eta_T_min"] < doc["c_eta_min"]
+
+
+# Rates so extreme that Leduc's bound constants overflow to inf by design.
+EXTREME = ["--game", "leduc", "--feedback", "q", "--reg", "euclidean",
+           "--alpha", "1e-300", "--tau", "0.1", "--gamma", "0.01"]
+
+
+@pytest.mark.parametrize("command, rc, err", [
+    (["run", *EXTREME, "--eta", "1e300", "--iters", "2", "--eval-every", "1"],
+     1, "error: non-finite iterate at seed 0 iteration 1\n"),
+    (["constants", *EXTREME], 0, ""),
+], ids=["run", "constants"])
+def test_cli_extreme_rates_raise_no_numpy_warning(capsys, command, rc, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(command) == rc
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if command[0] == "constants":
+        assert json.loads(captured.out)["c_slash_max"] == float("inf")
+
+
 def test_cli_bestresp_uniform_and_profile(tmp_path, capsys):
     rc = cli_main(["bestresp", "--game", "kuhn"])
     assert rc == 0
@@ -405,6 +444,9 @@ def test_cli_bestresp_uniform_and_profile(tmp_path, capsys):
     assert rc == 0
     out2 = capsys.readouterr().out
     assert out.splitlines()[-1] == out2.splitlines()[-1]
+    # The printed exploitability is exploitability(tree, prof)'s.
+    assert out.splitlines()[-1] == (
+        f"exploitability: {exploitability(tree, prof):.10g}")
 
 
 @pytest.mark.parametrize("row, message", [

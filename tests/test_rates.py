@@ -1,17 +1,21 @@
 """The rate boundary: every exported entry point that takes α, γ, η or τ
 checks it against regularizers.RATE_RULES, and converts a per-infoset one
-through regularizers.rate_array, before any other work."""
+through regularizers.rate_array, before any other work. Entry points that
+take a feedback kind or a regularizer family reject one they do not know."""
 
 import numpy as np
 import pytest
 
 from efglab.evaluate import (bregman_to_reference, compute_reference,
                              perturbed_regularized_gap)
+from efglab.game import uniform_profile
 from efglab.regularizers import (ENTROPY, TruncatedSimplex,
-                                 argmax_regularized, prox_step, rate_array)
+                                 argmax_regularized, bregman_local, local_psi,
+                                 prox_step, rate_array)
 from efglab.solvers import (SolverParams, game_constants, lr_schedule,
                             schedule_report)
-from efglab.values import QVALUE, compute_feedback
+from efglab.values import (QVALUE, compute_feedback, estimate_trajectory_q,
+                           sample_trajectory)
 
 NAN, INF = float("nan"), float("inf")
 BAD_RATES = {"alpha": [0.0, -1.0, NAN, INF], "eta": [0.0, -1.0, NAN, INF],
@@ -108,3 +112,42 @@ def test_rate_array_repeats_a_number_and_copies_an_array(kuhn):
     got = rate_array(kuhn, "alpha", given)
     assert np.array_equal(got, given) and not np.shares_memory(got, given)
     assert np.array_equal(rate_array(kuhn, "eta", [2] * n), np.full(n, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Feedback kinds and regularizer families
+
+KIND = "unknown feedback kind 'bogus'"
+FAMILY = "unknown regularizer family 'bogus'"
+NO_FAMILY = "tau > 0 requires a regularizer family"
+HALF = [0.5, 0.5]
+
+
+def _estimate_without_family(t):
+    profile = uniform_profile(t)
+    traj = sample_trajectory(t, profile, np.random.default_rng(0))
+    return estimate_trajectory_q(t, traj, profile, tau=0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: SolverParams(t, feedback="bogus"), KIND),
+    (lambda t: game_constants(t, "bogus", ENTROPY), KIND),
+    (lambda t: game_constants(t, QVALUE, "bogus"), FAMILY),
+    (lambda t: compute_feedback(t, uniform_profile(t), "bogus"), KIND),
+    (lambda t: compute_feedback(t, uniform_profile(t), QVALUE, tau=0.1),
+     NO_FAMILY),
+    (_estimate_without_family, NO_FAMILY),
+    (lambda t: local_psi(HALF, 1.0, "bogus"), FAMILY),
+    (lambda t: bregman_local(HALF, HALF, 1.0, "bogus"), FAMILY),
+    (lambda t: perturbed_regularized_gap(t, uniform_profile(t), 0.1,
+                                         family="bogus"), FAMILY),
+    (lambda t: prox_step(HALF, [0.0, 0.0], 0.1, 0.1, 1.0, "bogus", SIMPLEX),
+     FAMILY),
+    (lambda t: argmax_regularized(HALF, 0.1, 1.0, "bogus", SIMPLEX), FAMILY),
+], ids=["SolverParams kind", "game_constants kind", "game_constants family",
+        "compute_feedback kind", "compute_feedback no family",
+        "estimate_trajectory_q no family", "local_psi", "bregman_local",
+        "perturbed_regularized_gap", "prox_step", "argmax_regularized"])
+def test_an_unknown_kind_or_family_is_rejected(kuhn, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(kuhn)

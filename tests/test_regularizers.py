@@ -1,6 +1,7 @@
 """Local/dilated regularizers, Bregman divergences, projections, prox."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def _feasible_samples(rng, simplex, count):
 def test_truncated_simplex_rejects_gamma_outside_the_unit_interval(gamma):
     with pytest.raises(ValueError):
         TruncatedSimplex(gamma, np.full(3, 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("gamma, nu, message", [
+    (0.1, [0.0, 1.0], "nu must be strictly positive when gamma > 0"),
+    (1.0, [0.6, 0.6], "floor mass gamma * sum(nu) exceeds 1"),
+], ids=["nu not positive", "floor mass above 1"])
+def test_truncated_simplex_rejects_an_infeasible_floor(gamma, nu, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TruncatedSimplex(gamma, np.asarray(nu))
 
 
 def _prox_objective(x, x0, g, tau0, eta, alpha, family):

@@ -9,7 +9,8 @@ from efglab.evaluate import exploitability
 from efglab.game import (PLAYER1, PLAYER2, dump_game, load_game,
                          uniform_profile)
 from efglab.games import build_kuhn, build_leduc, build_matching_pennies
-from efglab.regularizers import ENTROPY, EUCLIDEAN, TruncatedSimplex
+from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
+                                 prox_step)
 from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             cfr_plus_step, cfr_step, check_m_bounds,
                             game_constants, lazy_qfr_step, lr_schedule,
@@ -19,7 +20,8 @@ from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
                            sample_trajectory)
 from oracles import (LazyOracleState, average_profile, oracle_catch_up,
                      oracle_lazy_step, os_mccfr_step_three_pass,
-                     schedule_report_walk, to_sequence_form)
+                     reach_probabilities, schedule_report_walk,
+                     to_sequence_form, two_prox_row)
 
 
 def _single_decision_game():
@@ -194,6 +196,55 @@ def test_qfr_m_bounds_and_stability_monitor(kuhn):
                           <= constants.c_minus * eta_anc + 1e-12)
         prev_m = m
         prev_cur = state.cur.copy()
+
+
+def _trajectory_q_tau0(tree, profile, tau):
+    """tau * opponent reach * own reach at every infoset, from the
+    node-by-node reach walk: the opponent reach sums chance times opponent
+    reach over the members, and the own reach is the owner's at a member."""
+    mu1, mu2, muc = reach_probabilities(tree, profile)
+    own = np.zeros(tree.num_infosets)
+    opp = np.zeros(tree.num_infosets)
+    for i, nd in enumerate(tree.nodes):
+        if nd.owner in (PLAYER1, PLAYER2):
+            mine, other = (mu1, mu2) if nd.owner == PLAYER1 else (mu2, mu1)
+            own[nd.infoset] = mine[i]
+            opp[nd.infoset] += muc[i] * other[i]
+    return tau * opp * own
+
+
+@pytest.mark.parametrize("family", (ENTROPY, EUCLIDEAN))
+@pytest.mark.parametrize("game", ("kuhn", "leduc"))
+@pytest.mark.parametrize("step", (qfr_full_step, mmd_step),
+                         ids=("qfr", "mmd"))
+def test_full_information_steps_with_trajectory_q_match_per_row_prox(
+        request, step, game, family):
+    """With tq feedback the local weight is tau * opponent reach * own
+    reach: each step equals, at every infoset, prox solves one row at a
+    time against compute_feedback's tq values (two from bar for QFR, one
+    from cur for MMD)."""
+    tree = request.getfixturevalue(game)
+    params = SolverParams(tree, feedback=TRAJQ, family=family, tau=0.05,
+                          gamma=0.01, eta=0.1)
+    got, want = SolverState(tree, params), SolverState(tree, params)
+    for _ in range(50):
+        step(got, tree, params)
+        profile = want.profile(tree)
+        fb = compute_feedback(tree, profile, TRAJQ, params.tau, params.alpha,
+                              family)
+        tau0 = _trajectory_q_tau0(tree, profile, params.tau)
+        assert np.any(tau0 > 0.0)
+        for si in range(tree.num_infosets):
+            g = -fb.q[si]
+            if step is qfr_full_step:
+                two_prox_row(tree, want, params, si, g, tau0[si])
+            else:
+                want.cur_views[si][:] = prox_step(
+                    profile[si], g, tau0[si], params.eta[si],
+                    params.alpha[si], family,
+                    TruncatedSimplex(params.gamma[si], tree.nu[si]))
+        assert np.allclose(got.cur, want.cur, rtol=0.0, atol=1e-12)
+        assert np.allclose(got.bar, want.bar, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
