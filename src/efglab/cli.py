@@ -55,12 +55,13 @@ def _parser():
     _add_run_flags(p, ("game", "feedback", "reg", "alpha", "eta", "schedule",
                        "tau", "gamma"))
     p.set_defaults(feedback=TRAJQ)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.05)
+    # Absent, --horizon and --delta take game_constants' own defaults.
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--delta", type=float)
 
     p = sub.add_parser("bestresp",
                        help="exact best responses and exploitability")
-    p.add_argument("--game", default="kuhn")
+    p.add_argument("--game", default=RunConfig.game)
     p.add_argument("--profile", default="",
                    help="JSON file: list of per-infoset distributions "
                         "(default: uniform)")
@@ -117,12 +118,13 @@ def _grid(spec):
     return 0
 
 
-def _constants(horizon, delta, **fields):
+def _constants(**fields):
+    bounds = {k: fields.pop(k) for k in ("horizon", "delta") if k in fields}
     # The run fields obey the same rules as in `efglab run`.
     cfg = RunConfig(**fields)
     tree = resolve_game(cfg.game)
     c = game_constants(tree, cfg.feedback, cfg.reg, cfg.alpha, cfg.tau,
-                       cfg.gamma, horizon=horizon, delta=delta)
+                       cfg.gamma, **bounds)
     doc = {
         "game": tree.name,
         "num_infosets": tree.num_infosets,

@@ -145,6 +145,16 @@ def bregman_tree_flat(tree, x, y, alpha, family):
 # Floor fit, projection and proximal steps
 
 
+def row_floors(gamma, NU):
+    """The row constants of floor_fit and prox_batch, for rows with floor
+    scale gamma (1-D) and directions NU: (floor, slack, has_slack), each
+    row's floor gamma * nu, the mass 1 - sum(floor) above it and whether
+    that slack exceeds 1e-12."""
+    floor = gamma[:, None] * NU
+    slack = 1.0 - np.add.reduce(floor, axis=1)
+    return floor, slack, slack > 1e-12
+
+
 def floor_fit(family, Z, gamma, NU):
     """Row-wise fit of Z to the perturbed simplex {x >= gamma * nu, sum x = 1}.
 
@@ -162,8 +172,11 @@ def floor_fit(family, Z, gamma, NU):
     loop's second pass, so a binding floor costs no extra pass. Each row's
     result is the same bits whatever batch it comes in.
     """
-    floor = gamma[:, None] * NU
-    slack = 1.0 - floor.sum(axis=1)
+    return _fit(family, Z, *row_floors(gamma, NU))
+
+
+def _fit(family, Z, floor, slack, has_slack):
+    """floor_fit on the rows' constants from row_floors."""
     if family == EUCLIDEAN:
         # Fit the mass above the floors. The projection is unchanged by a
         # shift of the whole row, and after the max shift every entry at or
@@ -172,19 +185,22 @@ def floor_fit(family, Z, gamma, NU):
         # a large row, and an overflowed difference cannot reach it.
         Z = Z - floor
         with np.errstate(over="ignore"):
-            Z = np.maximum(Z - Z.max(axis=1, keepdims=True), -slack[:, None])
+            Z = np.maximum(Z - np.maximum.reduce(Z, axis=1, keepdims=True),
+                           -slack[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         # First pass with every entry free: no mask to apply, and the
         # entropy's free mass is exactly 1. A row with no slack starts
         # pinned, as the masked loop would leave it.
-        zf = Z.sum(axis=1)
+        zf = np.add.reduce(Z, axis=1)
         if family == EUCLIDEAN:
             fit = floor + (Z - ((zf - slack) / Z.shape[1])[:, None])
         else:
             fit = Z / zf[:, None]
-        free = (slack > 1e-12)[:, None] & ~(fit < floor)
-        if free.all():
+        below = fit < floor
+        if (not np.count_nonzero(below)
+                and np.count_nonzero(has_slack) == has_slack.shape[0]):
             return fit
+        free = has_slack[:, None] & ~below
         while True:
             zf = np.where(free, Z, 0.0).sum(axis=1)
             if family == EUCLIDEAN:
@@ -209,18 +225,41 @@ def floor_fit(family, Z, gamma, NU):
 # over the truncated simplex.
 
 
-def prox_batch(family, X0, G, tau0, eta, alpha, gamma, NU):
-    """Row-wise prox step. All row parameters are 1-D arrays."""
+def prox_batch(family, X0, G, tau0, eta, alpha, floors, optimistic=False):
+    """Row-wise prox step from the rows of X0 against the rows of G.
+
+    tau0, eta and alpha are 1-D arrays over the rows, and floors is the
+    rows' row_floors(gamma, NU). Returns the new rows or, with optimistic,
+    the pair (first, second) of an optimistic update: two solves against
+    the same G, the first from X0 and the second from the first's result.
+    The two share c = 1 + eta * tau0 and the scaled gradient, nothing of
+    the first fit, so the pair has the bits of a single-solve call from X0
+    followed by one from its result. Each row's result is the same bits
+    whatever batch it comes in.
+    """
     if family == ENTROPY:
         c = 1.0 + eta * tau0
-        logx0 = np.log(np.maximum(X0, _TINY))
-        logxh = logx0 / c[:, None] - (eta / (alpha * c))[:, None] * G
-        Z = np.exp(logxh - logxh.max(axis=1, keepdims=True))
+        step = (eta / (alpha * c))[:, None] * G
+        c = c[:, None]
     elif family == EUCLIDEAN:
-        Z = (X0 - (eta / alpha)[:, None] * G) / (1.0 + eta * tau0)[:, None]
+        step = (eta / alpha)[:, None] * G
+        c = (1.0 + eta * tau0)[:, None]
     else:
         raise ValueError(f"unknown regularizer family {family!r}")
-    return floor_fit(family, Z, gamma, NU)
+    X = _fit(family, _prox_point(family, X0, step, c), *floors)
+    if not optimistic:
+        return X
+    return X, _fit(family, _prox_point(family, X, step, c), *floors)
+
+
+def _prox_point(family, X0, step, c):
+    """The unconstrained prox point of rows X0, as weights (entropy) or a
+    point (Euclidean) for _fit."""
+    if family == ENTROPY:
+        logxh = np.log(np.maximum(X0, _TINY)) / c - step
+        return np.exp(logxh - np.maximum.reduce(logxh, axis=1,
+                                                keepdims=True))
+    return (X0 - step) / c
 
 
 def prox_step(x0, g, tau0, eta, alpha, family, simplex):
@@ -231,8 +270,9 @@ def prox_step(x0, g, tau0, eta, alpha, family, simplex):
                       np.asarray([tau0], dtype=np.float64),
                       np.asarray([eta], dtype=np.float64),
                       np.asarray([alpha], dtype=np.float64),
-                      np.asarray([simplex.gamma], dtype=np.float64),
-                      simplex.nu[None, :])[0]
+                      row_floors(np.asarray([simplex.gamma],
+                                            dtype=np.float64),
+                                 simplex.nu[None, :]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,11 @@ def estimate_trajectory_q(tree, traj, profile, tau=0.0, alpha=1.0,
     u = [None, traj.utility, -traj.utility]
     s = [None, 0.0, 0.0]
     scalar_alpha = np.isscalar(alpha)
+    # No estimate reads the bonus sums after the earliest decision's
+    # estimate, so the walk stops there (at the terminal, past every step,
+    # if no step is a decision).
+    first = next(k for k, node in enumerate(traj.nodes)
+                 if not tree.nodes[node].is_chance)
     for k in range(traj.num_steps - 1, -1, -1):
         nd = tree.nodes[traj.nodes[k]]
         pk = traj.true_probs[k]
@@ -280,6 +285,8 @@ def estimate_trajectory_q(tree, traj, profile, tau=0.0, alpha=1.0,
         p = nd.owner
         o = PLAYER1 + PLAYER2 - p
         est[nd.infoset] = (traj.actions[k], (u[p] + tau * s[p]) / pk)
+        if k == first:
+            break
         if tau != 0.0:
             al = alpha if scalar_alpha else alpha[nd.infoset]
             psi = local_psi(profile[nd.infoset], al, family)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from inspect import signature
 
 import numpy as np
 import pytest
@@ -758,6 +759,34 @@ def test_cli_run_without_flags_hands_run_config_defaults(monkeypatch):
     with pytest.raises(Stop):
         cli_main(["run"])
     assert seen == [RunConfig()]
+
+
+def test_cli_constants_and_bestresp_defaults_come_from_their_source(
+        monkeypatch, capsys):
+    # Without --horizon and --delta, `constants` computes with
+    # game_constants' own defaults; without --game, `bestresp` reads
+    # RunConfig's game.
+    seen = {}
+
+    def recording_constants(*args, **kwargs):
+        bound = signature(game_constants).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.update(bound.arguments)
+        return game_constants(*args, **kwargs)
+
+    def recording_resolve(name):
+        seen["game"] = name
+        return resolve_game(name)
+
+    monkeypatch.setattr(cli, "game_constants", recording_constants)
+    monkeypatch.setattr(cli, "resolve_game", recording_resolve)
+    assert cli_main(["constants", "--game", "leduc"]) == 0
+    defaults = signature(game_constants).parameters
+    assert seen["horizon"] is defaults["horizon"].default is None
+    assert seen["delta"] == defaults["delta"].default
+    assert cli_main(["bestresp"]) == 0
+    assert seen["game"] == RunConfig.game
+    capsys.readouterr()
 
 
 def test_run_flags_are_pinned_and_name_every_run_config_field():

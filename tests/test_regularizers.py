@@ -12,7 +12,8 @@ from efglab.game import PLAYER1, PLAYER2, random_profile, uniform_profile
 from efglab.games import build_kuhn, build_matching_pennies
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  argmax_regularized, bregman_local, floor_fit,
-                                 local_psi, prox_step, psi_flat)
+                                 local_psi, prox_batch, prox_step, psi_flat,
+                                 row_floors)
 from oracles import (bidilated_psi, bregman_tree, bregman_tree_direct,
                      dilated_psi, entropy_floor_fit_sort, floor_fit_masked,
                      full_simplex, infoset_members, local_psi_grad,
@@ -476,6 +477,59 @@ def test_floor_fit_equals_the_masked_loop_bit_for_bit(rng, family):
 
 # ---------------------------------------------------------------------------
 # Proximal operators
+
+
+def _optimistic_pool(rng, n, m=624):
+    """Prox inputs over m rows of n actions, as (X0, G, tau0, eta, alpha,
+    gamma, NU): half the starts on the perturbed simplex and half on the
+    plain one, often below their floors; one row in 16 with no slack, and
+    about a third with tau0 = 0."""
+    NU = rng.dirichlet(np.ones(n), size=m)
+    gamma = rng.choice([0.0, 0.05, 0.3, 0.8], size=m)
+    gamma[::16] = 1.0 / NU[::16].sum(axis=1)
+    floor = gamma[:, None] * NU
+    X0 = floor + (1.0 - floor.sum(axis=1))[:, None] * rng.dirichlet(
+        np.full(n, 0.5), size=m)
+    X0[1::2] = rng.dirichlet(np.full(n, 0.3), size=m // 2)
+    G = rng.normal(size=(m, n)) * rng.choice([0.1, 1.0, 10.0], size=(m, 1))
+    tau0 = rng.choice([0.0, 0.1, 1.0], size=m)
+    eta = rng.choice([0.05, 0.3, 1.0], size=m)
+    alpha = rng.choice([0.5, 1.0, 2.0], size=m)
+    return X0, G, tau0, eta, alpha, gamma, NU
+
+
+@pytest.mark.parametrize("family", [ENTROPY, EUCLIDEAN])
+def test_optimistic_prox_equals_two_single_solves_bit_for_bit(rng, family):
+    # The optimistic call shares its two solves' row constants and nothing
+    # else: it must give the bits of a single-solve call from X0 followed
+    # by one from that call's result, in batches of every size, and each
+    # row alone the bits it has in its batch.
+    for n in range(2, 9):
+        X0, G, tau0, eta, alpha, gamma, NU = _optimistic_pool(rng, n)
+        floors = row_floors(gamma, NU)
+        X1 = prox_batch(family, X0, G, tau0, eta, alpha, floors)
+        X2 = prox_batch(family, X1, G, tau0, eta, alpha, floors)
+        # The pool has rows whose floors bind on the first solve only, and
+        # on the second only: such a row has an entry pinned to its floor
+        # after the one solve and none after the other.
+        bind1, bind2 = ((X == floors[0]).any(axis=1) & floors[2]
+                        for X in (X1, X2))
+        assert (bind1 & ~bind2).any() and (~bind1 & bind2).any()
+        assert not floors[2].all() and (tau0 == 0.0).any()
+        for m in (0, 1, 2, 40, 624):
+            rows = rng.permutation(624)[:m]
+            args = [a[rows] for a in (X0, G, tau0, eta, alpha)]
+            fl = tuple(a[rows] for a in floors)
+            want1 = prox_batch(family, *args, fl)
+            want2 = prox_batch(family, want1, *args[1:], fl)
+            got1, got2 = prox_batch(family, *args, fl, optimistic=True)
+            assert _same_bits(got1, want1) and _same_bits(got2, want2)
+            for j, i in enumerate(rows):
+                alone1, alone2 = prox_batch(
+                    family, *(a[i:i + 1] for a in (X0, G, tau0, eta, alpha)),
+                    tuple(a[i:i + 1] for a in floors), optimistic=True)
+                assert _same_bits(alone1[0], got1[j])
+                assert _same_bits(alone2[0], got2[j])
 
 
 def test_prox_entropy_identity():

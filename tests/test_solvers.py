@@ -13,10 +13,11 @@ from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
                                  prox_step)
 from efglab.solvers import (GameConstants, SolverParams, SolverState,
                             cfr_plus_step, cfr_step, check_m_bounds,
-                            game_constants, lazy_qfr_step, lr_schedule,
-                            mmd_step, os_mccfr_step, pga_step, qfr_full_step,
-                            qfr_stochastic_step, schedule_report)
-from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
+                            game_constants, lazy_qfr_step, local_tau0,
+                            lr_schedule, mmd_step, os_mccfr_step, pga_step,
+                            qfr_full_step, qfr_stochastic_step,
+                            schedule_report)
+from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback, feedback_flat,
                            sample_trajectory)
 from oracles import (LazyOracleState, average_profile, oracle_catch_up,
                      oracle_lazy_step, os_mccfr_step_three_pass,
@@ -245,6 +246,45 @@ def test_full_information_steps_with_trajectory_q_match_per_row_prox(
                     TruncatedSimplex(params.gamma[si], tree.nu[si]))
         assert np.allclose(got.cur, want.cur, rtol=0.0, atol=1e-12)
         assert np.allclose(got.bar, want.bar, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", (1e-2, 0.3))
+@pytest.mark.parametrize("family", (ENTROPY, EUCLIDEAN))
+@pytest.mark.parametrize("game", ("kuhn", "leduc"))
+@pytest.mark.parametrize("step", (qfr_full_step, mmd_step),
+                         ids=("qfr", "mmd"))
+def test_full_information_steps_equal_per_row_prox_bit_for_bit(
+        request, step, game, family, gamma):
+    """Fed the library's own feedback, q from feedback_flat and the local
+    weights from local_tau0, each step equals prox_step solves one row at a
+    time, bit for bit, under every feedback kind: two from bar for QFR, one
+    from cur for MMD. At gamma = 0.3 floors bind."""
+    tree = request.getfixturevalue(game)
+    floor = gamma * tree.nu_flat
+    pinned = False
+    for kind in (CF, QVALUE, TRAJQ):
+        params = SolverParams(tree, feedback=kind, family=family, tau=0.05,
+                              gamma=gamma, eta=2.0)
+        got, want = SolverState(tree, params), SolverState(tree, params)
+        for _ in range(12 if game == "kuhn" else 3):
+            step(got, tree, params)
+            q_flat, _, ownr, oppr, _ = feedback_flat(
+                tree, want.cur, kind, params.tau, params.alpha, family)
+            tau0 = local_tau0(params, params.tau, oppr, ownr)
+            for si in range(tree.num_infosets):
+                off = tree.infoset_offset[si]
+                g = -q_flat[off:off + tree.actions_per_infoset[si]]
+                if step is qfr_full_step:
+                    two_prox_row(tree, want, params, si, g, tau0[si])
+                else:
+                    want.cur_views[si][:] = prox_step(
+                        want.cur_views[si], g, tau0[si], params.eta[si],
+                        params.alpha[si], family,
+                        TruncatedSimplex(params.gamma[si], tree.nu[si]))
+            assert np.array_equal(got.cur, want.cur)
+            assert np.array_equal(got.bar, want.bar)
+            pinned |= bool(np.any(got.cur == floor))
+    assert pinned or gamma < 0.3
 
 
 # ---------------------------------------------------------------------------
