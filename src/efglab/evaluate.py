@@ -21,25 +21,25 @@ from .values import (QVALUE, counterfactual_values, infoset_reach,
                      reach_flat, value_to_go)
 
 
-def _reg_best_response(tree, flat, reach, player, tau, alpha, family,
-                       gamma):
+def _reg_best_response(tree, flat, x, player, tau, alpha, family, gamma):
     """Value of `player`'s best response in the perturbed, regularized game:
     expected utility minus tau times the player's own reach-weighted
     regularizer plus tau times the opponent's, maximized over local policies
-    x >= gamma * nu (nu = tree.nu_flat; alpha and gamma are checked arrays).
-    The response overwrites the player's pairs of the flat profile `flat`,
-    whose reach_flat is `reach`. With tau = 0 and gamma = 0 it is the exact
-    best response (ties broken toward the lowest action index)."""
+    at or above gamma * nu (nu = tree.nu_flat; alpha and gamma are checked
+    arrays). The response overwrites the player's pairs of the flat profile
+    `flat`, whose sequence weights (reach_flat) are `x`. With tau = 0 and
+    gamma = 0 it is the exact best response (ties broken toward the lowest
+    action index)."""
     # The responder's own depth at each infoset, 0 at the opponent's.
     depth = np.where(tree.infoset_owner == player, tree.own_depth, 0)
 
     # One reach sweep serves every depth: the responder's choices change
     # only the responder's own reach, and neither the responder's
     # counterfactual values nor its opponent reach read it.
-    opp_reach = infoset_reach(tree, reach)[1]
+    opp_reach = infoset_reach(tree, x)[1]
     for d in range(depth.max(), 0, -1):
         cf = counterfactual_values(
-            tree, reach, value_to_go(tree, flat, tau, alpha, family))
+            tree, x, value_to_go(tree, flat, tau, alpha, family))
         for idx, pairs, NU in tree.row_groups:
             sel = depth[idx] == d
             if sel.any():
@@ -70,9 +70,9 @@ def _gap(tree, profile, tau=0.0, alpha=1.0, family=ENTROPY, gamma=0.0):
     args = (tau, rate_array(tree, "alpha", alpha), family,
             rate_array(tree, "gamma", gamma))
     flat = flatten_profile(tree, profile)
-    reach = reach_flat(tree, flat)
-    return (_reg_best_response(tree, flat.copy(), reach, PLAYER1, *args)
-            + _reg_best_response(tree, flat, reach, PLAYER2, *args))
+    x = reach_flat(tree, flat)
+    return (_reg_best_response(tree, flat.copy(), x, PLAYER1, *args)
+            + _reg_best_response(tree, flat, x, PLAYER2, *args))
 
 
 def exploitability(tree, profile):

@@ -135,7 +135,7 @@ class GameTree:
         self.edge_child = np.asarray(child, dtype=np.int64)[order]
         edge_infoset = np.asarray(infoset, dtype=np.int64)[order]
         edge_action = np.asarray(action, dtype=np.int64)[order]
-        self.edge_chance_prob = np.asarray(prob, dtype=np.float64)[order]
+        edge_chance_prob = np.asarray(prob, dtype=np.float64)[order]
         bounds = np.searchsorted(depth_arr[self.edge_parent],
                                  np.arange(depth_arr.max() + 2))
         self.edge_level_slices = list(zip(bounds[:-1], bounds[1:]))
@@ -157,16 +157,17 @@ class GameTree:
         self.infoset_owner = np.asarray([s.owner for s in self.infosets],
                                         dtype=np.int64)
 
-        # Decision edges: their index among the edges, pair, parent, child
-        # and sign (+1 where player 1 acts, -1 where player 2 does).
+        self.pair_owner = self.infoset_owner[self.pair_infoset]
+
+        # Decision edges: their index among the edges, pair, parent and
+        # child, and the owner's row (0 for player 1, 1 for player 2).
         dec = edge_infoset >= 0
         self.dec_edge = np.flatnonzero(dec)
         self.dec_pair = (self.infoset_offset[edge_infoset[dec]]
                          + edge_action[dec])
-        self.dec_parent = self.edge_parent[dec]
+        dec_parent = self.edge_parent[dec]
         self.dec_child = self.edge_child[dec]
         dec_row = self.infoset_owner[edge_infoset[dec]] - PLAYER1
-        self.dec_sign = np.where(dec_row == 0, 1.0, -1.0)
 
         # Sequence form (von Stengel 1996): a player's reach at a node is
         # the realization weight of the player's last own pair on the path
@@ -174,7 +175,7 @@ class GameTree:
         # empty sequence), and own_count[p - 1] the number of p's decisions
         # on the path. Chance reach does not depend on the profile, so it
         # is swept here once.
-        chance_weight = np.where(dec, 1.0, self.edge_chance_prob)
+        chance_weight = np.where(dec, 1.0, edge_chance_prob)
         dec_bounds = np.searchsorted(self.dec_edge, bounds)
         seq = np.full((2, self.num_nodes), -1, dtype=np.int64)
         own_count = np.zeros((2, self.num_nodes), dtype=np.int64)
@@ -214,8 +215,38 @@ class GameTree:
             (pairs, parent_pair[self.pair_infoset[pairs]])
             for pairs in (np.flatnonzero(pair_depth == d)
                           for d in range(1, pair_depth.max() + 1))]
-        # Chance reach at each decision edge's parent.
-        self.dec_chance = chance_reach[self.dec_parent]
+
+        # The gathers of the reach and value sweeps, which read reach as
+        # values.reach_flat's sequence weights x (x[-1] = 1 is the empty
+        # sequence, node_seq's -1). At a decision edge's parent: the
+        # opponent's sequence, and chance reach times the owner's sign (+1
+        # for player 1, -1 for player 2; a sign folds into a product
+        # exactly). At an infoset: the owner's parent sequence. At a
+        # member: the opponent's sequence, chance reach and the sign of the
+        # owner's regularizer bonus in player 1's values (-1 for player 1).
+        # At a terminal: both players' sequences.
+        self.dec_opp_seq = seq[1 - dec_row, dec_parent]
+        self.dec_weight = (chance_reach[dec_parent]
+                           * np.where(dec_row == 0, 1.0, -1.0))
+        self.infoset_seq = parent_pair
+        member_row = row[self.member_infoset]
+        self.member_opp_seq = seq[1 - member_row, self.member_node]
+        self.member_chance = chance_reach[self.member_node]
+        self.member_sign = np.where(member_row == 0, -1.0, 1.0)
+        self.terminal_seq = seq[:, self.terminal_ids]
+        # Each edge's probability is concatenate((flat, chance_edge_prob))
+        # [edge_src]: the pair's entry of the flat profile at a decision
+        # edge, the outcome probability at a chance edge.
+        self.chance_edge_prob = edge_chance_prob[~dec]
+        edge_src = np.empty(dec.shape[0], dtype=np.int64)
+        edge_src[dec] = self.dec_pair
+        edge_src[~dec] = self.num_pairs + np.arange(
+            self.chance_edge_prob.shape[0])
+        self.edge_src = edge_src
+        # Player 1's values-to-go before the sweep: the utility at each
+        # terminal, 0 elsewhere.
+        self.terminal_base = np.zeros(self.num_nodes)
+        self.terminal_base[self.terminal_ids] = self.terminal_utils
 
         # The exploration distribution nu: one flat read-only pair array,
         # and a tuple of per-infoset views into it.
@@ -233,7 +264,11 @@ class GameTree:
             pairs = self.infoset_offset[idx][:, None] + np.arange(na)
             groups.append((idx, pairs, nu_flat[pairs]))
         self.row_groups = tuple(groups)
-        for a in (self.infoset_depth, *(a for g in groups for a in g)):
+        for a in (self.infoset_depth, *(a for g in groups for a in g),
+                  self.pair_owner, self.dec_opp_seq, self.dec_weight,
+                  self.infoset_seq, self.member_opp_seq, self.member_chance,
+                  self.member_sign, self.terminal_seq, self.chance_edge_prob,
+                  self.edge_src, self.terminal_base):
             a.flags.writeable = False
 
 
@@ -376,9 +411,10 @@ def expected_utility(tree, profile):
     """Player 1's expected utility: the sum over terminals of chance reach
     times both players' reach times the utility."""
     from .values import reach_flat
-    mu1, mu2, muc = reach_flat(tree, flatten_profile(tree, profile))
-    t = tree.terminal_ids
-    return float(np.sum(muc[t] * mu1[t] * mu2[t] * tree.terminal_utils))
+    x1, x2 = reach_flat(tree, flatten_profile(tree, profile))[
+        tree.terminal_seq]
+    return float(np.sum(tree.chance_reach[tree.terminal_ids] * x1 * x2
+                        * tree.terminal_utils))
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,8 @@ def bregman_tree_flat(tree, x, y, alpha, family):
     """Dilated-regularizer Bregman divergences D(x, y) of (player 1, player
     2) from flat pair arrays: over each player's infosets, the sum of x's
     sequence-form reach times the local divergence."""
-    from .values import infoset_reach, reach_flat
-    own, _ = infoset_reach(tree, reach_flat(tree, x))
+    from .values import reach_flat
+    own = reach_flat(tree, x)[tree.infoset_seq]
     terms = bregman_local(x[:, None], y[:, None], 1.0, family)
     local = alpha * np.bincount(tree.pair_infoset, weights=terms,
                                 minlength=tree.num_infosets)
@@ -228,14 +228,14 @@ def _fit(family, Z, floor, slack, has_slack):
 def prox_batch(family, X0, G, tau0, eta, alpha, floors, optimistic=False):
     """Row-wise prox step from the rows of X0 against the rows of G.
 
-    tau0, eta and alpha are 1-D arrays over the rows, and floors is the
-    rows' row_floors(gamma, NU). Returns the new rows or, with optimistic,
-    the pair (first, second) of an optimistic update: two solves against
-    the same G, the first from X0 and the second from the first's result.
-    The two share c = 1 + eta * tau0 and the scaled gradient, nothing of
-    the first fit, so the pair has the bits of a single-solve call from X0
-    followed by one from its result. Each row's result is the same bits
-    whatever batch it comes in.
+    eta and alpha are 1-D arrays over the rows, tau0 one too or one number
+    for every row, and floors is the rows' row_floors(gamma, NU). Returns
+    the new rows or, with optimistic, the pair (first, second) of an
+    optimistic update: two solves against the same G, the first from X0
+    and the second from the first's result. The two share c = 1 + eta *
+    tau0 and the scaled gradient, nothing of the first fit, so the pair has
+    the bits of a single-solve call from X0 followed by one from its
+    result. Each row's result is the same bits whatever batch it comes in.
     """
     if family == ENTROPY:
         c = 1.0 + eta * tau0

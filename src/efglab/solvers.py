@@ -19,7 +19,7 @@ from .game import PLAYER1, PLAYER2, gamma_lower_bound, unflatten_profile
 from .regularizers import (ENTROPY, EUCLIDEAN, check_rate, floor_fit,
                            prox_batch, rate_array, row_floors)
 from .values import (CF, QVALUE, TRAJQ, estimate_trajectory_q, feedback_flat,
-                     infoset_reach, reach_flat, sample_trajectory)
+                     reach_flat, sample_trajectory)
 
 
 def parse_schedule(schedule):
@@ -121,8 +121,8 @@ class SolverState:
         self.t = 0
         self.regret = np.zeros(tree.num_pairs)
         self.strat_sum = np.zeros(tree.num_pairs)
-        own, _ = infoset_reach(tree, reach_flat(tree, self.cur))
-        self.last_tau0 = params.effective_tau(0) * own
+        self.last_tau0 = (params.effective_tau(0)
+                          * reach_flat(tree, self.cur)[tree.infoset_seq])
 
     def profile(self, tree):
         """Copy of the current strategy as a per-infoset list."""
@@ -141,7 +141,9 @@ def local_tau0(params, tau, opp_reach, own_reach):
 def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None):
     """Apply the (optionally optimistic) prox update at every infoset, or
     only at the infosets where the boolean mask `rows` is set: one
-    prox_batch call per row group."""
+    prox_batch call per row group. tau0 is one value per infoset, or one
+    number for all of them."""
+    per_row = isinstance(tau0, np.ndarray)
     for (idx, pairs, _), (floor, slack, has_slack) in zip(params.groups,
                                                           params.floors):
         if rows is not None:
@@ -153,8 +155,8 @@ def _batched_update(state, params, g_flat, tau0, optimistic=True, rows=None):
             idx, pairs = idx[sel], pairs.take(sel, 0)
             floor, slack, has_slack = (floor.take(sel, 0), slack[sel],
                                        has_slack[sel])
-        args = (g_flat[pairs], tau0[idx], params.eta[idx], params.alpha[idx],
-                (floor, slack, has_slack))
+        args = (g_flat[pairs], tau0[idx] if per_row else tau0,
+                params.eta[idx], params.alpha[idx], (floor, slack, has_slack))
         if optimistic:
             state.bar[pairs], state.cur[pairs] = prox_batch(
                 params.family, state.bar[pairs], *args, optimistic=True)
@@ -250,7 +252,7 @@ def cfr_plus_step(state, tree, params):
     weighted strategy averaging."""
     state.t += 1
     for p in (1, 2):
-        mask = tree.infoset_owner[tree.pair_infoset] == p
+        mask = tree.pair_owner == p
         inc, ownr = _instant_regret(state, tree)
         state.regret[mask] = np.maximum(state.regret[mask] + inc[mask], 0.0)
         _regret_matching(state, tree, mask)
@@ -350,8 +352,7 @@ def qfr_stochastic_step(state, tree, params, rng=None, traj=None):
     tau = params.effective_tau(state.t)
     traj, g, visited = _sampled_gradient(state, tree, params, tau, rng, traj,
                                          False)
-    _batched_update(state, params, g, np.full(tree.num_infosets, tau),
-                    rows=visited)
+    _batched_update(state, params, g, tau, rows=visited)
     state.t += 1
     return traj
 
@@ -429,7 +430,7 @@ def game_constants(tree, kind, family, alpha=1.0, tau=0.0, gamma0=0.0,
     na = tree.actions_per_infoset
     # Chance mass per infoset: opponent reach under the all-ones profile.
     chance_mass = np.bincount(tree.member_infoset, minlength=n,
-                              weights=tree.chance_reach[tree.member_node])
+                              weights=tree.member_chance)
     min_chance = float(chance_mass.min())
 
     if kind not in (CF, QVALUE, TRAJQ):
@@ -544,8 +545,7 @@ def schedule_report(tree, eta, constants, alpha=1.0):
     seq_sum = np.zeros(tree.num_pairs + 1)
     for pairs, parents in tree.seq_levels:
         seq_sum[pairs] = seq_sum[parents] + eta[tree.pair_infoset[pairs]]
-    a_val = seq_sum[tree.node_seq[tree.infoset_owner - PLAYER1,
-                                  tree.first_member]]
+    a_val = seq_sum[tree.infoset_seq]
 
     # (B): the largest decision-ancestor step size at every node, swept
     # down the edges (a chance edge adds 0), then at every infoset.

@@ -49,38 +49,34 @@ class FeedbackBundle:
 
 
 def reach_flat(tree, flat):
-    """Per-node reach contributions (mu1, mu2, muc) from a flat profile.
+    """Sequence weights x of a flat profile: x[pair] is the realization
+    weight of the pair's sequence for its owner, and x[-1] = 1 that of the
+    empty sequence (the tree's gather arrays use -1 for it).
 
-    One sweep over sequences: a player's reach at a node is the
-    realization weight x of the player's last own (infoset, action) pair on
-    the path to it (tree.node_seq), and x[pair] = x[parent pair] *
-    flat[pair] is filled one own depth at a time, shallowest first. Each
-    reach multiplies the same factors in the same root-to-node order as a
-    node-by-node pass. muc is the tree's read-only chance_reach, which does
-    not depend on the profile.
+    A player's reach at a node is the weight of the player's last own pair
+    on the path to it, x[tree.node_seq]. One sweep over sequences, one own
+    depth at a time, shallowest first: x[pair] = x[parent pair] *
+    flat[pair], so each weight multiplies the same factors in the same
+    root-to-node order as a node-by-node pass.
     """
     x = np.empty(tree.num_pairs + 1)
-    x[-1] = 1.0  # the empty sequence, node_seq's -1
+    x[-1] = 1.0
     for pairs, parents in tree.seq_levels:
         x[pairs] = x[parents] * flat[pairs]
-    mu1, mu2 = x[tree.node_seq]
-    return mu1, mu2, tree.chance_reach
+    return x
 
 
-def infoset_reach(tree, reach):
-    """Per-infoset own reach and opponent reach from reach_flat's output.
+def infoset_reach(tree, x):
+    """Per-infoset own reach and opponent reach from reach_flat's weights.
 
-    Own reach is the owner's reach at the first member (equal at every
+    Own reach is the weight of the owner's parent sequence (equal at every
     member by perfect recall); opponent reach sums chance times opponent
     reach over the members.
     """
-    mu1, mu2, muc = reach
-    fm = tree.first_member
-    own_reach = np.where(tree.infoset_owner == PLAYER1, mu1[fm], mu2[fm])
-    mn = tree.member_node
-    mopp = np.where(tree.infoset_owner[tree.member_infoset] == PLAYER1,
-                    mu2[mn], mu1[mn])
-    opp_reach = np.bincount(tree.member_infoset, weights=muc[mn] * mopp,
+    own_reach = x[tree.infoset_seq]
+    opp_reach = np.bincount(tree.member_infoset,
+                            weights=tree.member_chance
+                            * x[tree.member_opp_seq],
                             minlength=tree.num_infosets)
     return own_reach, opp_reach
 
@@ -106,16 +102,13 @@ def value_to_go(tree, flat, tau, alpha, family):
     node at or below h (negative at player 1's nodes, positive at player
     2's). Player 2's values-to-go are -t, since the game is zero-sum.
     """
-    t = np.zeros(tree.num_nodes)
+    t = tree.terminal_base.copy()
     if tau != 0.0:
         psis = psi_flat(tree, flat, alpha, family)
-        sgn = np.where(tree.infoset_owner[tree.member_infoset] == PLAYER1,
-                       -1.0, 1.0)
-        t[tree.member_node] = sgn * (tau * psis[tree.member_infoset])
-    t[tree.terminal_ids] = tree.terminal_utils
+        t[tree.member_node] = tree.member_sign * (
+            tau * psis[tree.member_infoset])
     # Each edge's action (or chance) probability.
-    w = tree.edge_chance_prob.copy()
-    w[tree.dec_edge] = flat[tree.dec_pair]
+    w = np.concatenate((flat, tree.chance_edge_prob))[tree.edge_src]
     for lo, hi in reversed(tree.edge_level_slices):
         par = tree.edge_parent[lo:hi]
         ch = tree.edge_child[lo:hi]
@@ -123,15 +116,12 @@ def value_to_go(tree, flat, tau, alpha, family):
     return t
 
 
-def counterfactual_values(tree, reach, t):
+def counterfactual_values(tree, x, t):
     """Flat counterfactual values of every (infoset, action) pair for its
-    owner, from reach_flat's output and value_to_go's player-1 values."""
-    mu1, mu2, _ = reach
-    par = tree.dec_parent
-    sign = tree.dec_sign
-    wpar = tree.dec_chance * np.where(sign > 0.0, mu2[par], mu1[par])
-    tval = sign * t[tree.dec_child]
-    return np.bincount(tree.dec_pair, weights=wpar * tval,
+    owner, from reach_flat's weights and value_to_go's player-1 values."""
+    return np.bincount(tree.dec_pair,
+                       weights=(tree.dec_weight * x[tree.dec_opp_seq]
+                                * t[tree.dec_child]),
                        minlength=tree.num_pairs)
 
 
@@ -146,10 +136,10 @@ def feedback_flat(tree, flat, kind, tau=0.0, alpha=1.0, family=None):
     if tau != 0.0 and family is None:
         raise ValueError("tau > 0 requires a regularizer family")
 
-    reach = reach_flat(tree, flat)
+    x = reach_flat(tree, flat)
     t = value_to_go(tree, flat, tau, alpha, family)
-    cf_flat = counterfactual_values(tree, reach, t)
-    own_reach, opp_reach = infoset_reach(tree, reach)
+    cf_flat = counterfactual_values(tree, x, t)
+    own_reach, opp_reach = infoset_reach(tree, x)
     m = multiplier(kind, own_reach, opp_reach)
     if kind == CF:
         q_flat = cf_flat

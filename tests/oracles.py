@@ -20,7 +20,11 @@ form: per-infoset timestamps, and two `prox_step` solves per pending
 zero-feedback step, replayed when the infoset is next read. OS-MCCFR has
 its former three-pass form, which walks the trajectory once for the sample
 and others' probabilities, once for the own-probability suffixes and once
-for the updates.
+for the updates. The whole-tree sweeps (reach, infoset reach, values-to-go,
+counterfactual values, feedback, expected utility and the best-response
+gap) have their node-level form, which reads per-node reach (mu1, mu2,
+muc) through node-level edge arrays; the library's sweeps, which read
+sequence weights through the tree's gather arrays, must give its bits.
 
 The helpers at the end (full simplexes, local regularizer gradients,
 opponent reach, the dilated and bidilated regularizer values, and the
@@ -33,12 +37,13 @@ import numpy as np
 
 from efglab.game import PLAYER1, PLAYER2, flatten_profile, unflatten_profile
 from efglab.regularizers import (ENTROPY, EUCLIDEAN, TruncatedSimplex,
-                                 argmax_regularized, bregman_tree_flat,
-                                 floor_fit, local_psi, prox_step, psi_flat,
-                                 rate_array)
+                                 argmax_batch, argmax_regularized,
+                                 bregman_tree_flat, floor_fit, local_psi,
+                                 prox_step, psi_flat, rate_array)
 from efglab.solvers import SolverState, average_flat
-from efglab.values import (Trajectory, estimate_trajectory_q, infoset_reach,
-                           reach_flat, sample_trajectory)
+from efglab.values import (CF, QVALUE, Trajectory, estimate_trajectory_q,
+                           infoset_reach, multiplier, reach_flat,
+                           sample_trajectory)
 
 
 def own_histories(nodes):
@@ -271,7 +276,8 @@ def reg_best_response_recursive(tree, profile, player, tau=0.0, alpha=1.0,
     if simplexes is None:
         simplexes = [full_simplex(s.num_actions) for s in tree.infosets]
     flat = flatten_profile(tree, profile)
-    mu1, mu2, muc = reach_flat(tree, flat)
+    mu1, mu2 = reach_flat(tree, flat)[tree.node_seq]
+    muc = tree.chance_reach
     opp_mu = mu2 if player == PLAYER1 else mu1
     w = muc * opp_mu
 
@@ -689,6 +695,138 @@ def os_mccfr_step_three_pass(state, tree, params, rng):
         state.cur[off:off + na] = pos / tot if tot > 0.0 else 1.0 / na
     state.t += 1
     return traj
+
+
+# ---------------------------------------------------------------------------
+# Node-level sweeps
+
+
+class NodeLevelTree:
+    """A game tree with the node-level edge arrays of the sweeps below:
+    each decision edge's parent, sign (+1 where player 1 acts, -1 where
+    player 2 does) and chance reach at its parent, and each edge's chance
+    probability (0 at a decision edge), rebuilt from the game document.
+    Every other attribute is the tree's own."""
+
+    def __init__(self, tree):
+        self._tree = tree
+        nodes = tree.nodes
+        self.dec_parent = tree.edge_parent[tree.dec_edge]
+        self.dec_sign = np.asarray(
+            [1.0 if nodes[h].owner == PLAYER1 else -1.0
+             for h in self.dec_parent])
+        self.dec_chance = tree.chance_reach[self.dec_parent]
+        self.edge_chance_prob = np.asarray(
+            [nodes[h].chance_probs[nodes[h].children.index(c)]
+             if nodes[h].is_chance else 0.0
+             for h, c in zip(tree.edge_parent, tree.edge_child)])
+
+    def __getattr__(self, name):
+        return getattr(self._tree, name)
+
+
+# The node-level form of the library's sweeps, each on a NodeLevelTree:
+# per-node reach (mu1, mu2, muc), owner masks built per call, and the same
+# products in the same order as the library's, so the same bits.
+
+
+def node_reach_flat(tree, flat):
+    x = np.empty(tree.num_pairs + 1)
+    x[-1] = 1.0  # the empty sequence, node_seq's -1
+    for pairs, parents in tree.seq_levels:
+        x[pairs] = x[parents] * flat[pairs]
+    mu1, mu2 = x[tree.node_seq]
+    return mu1, mu2, tree.chance_reach
+
+
+def node_infoset_reach(tree, reach):
+    mu1, mu2, muc = reach
+    fm = tree.first_member
+    own_reach = np.where(tree.infoset_owner == PLAYER1, mu1[fm], mu2[fm])
+    mn = tree.member_node
+    mopp = np.where(tree.infoset_owner[tree.member_infoset] == PLAYER1,
+                    mu2[mn], mu1[mn])
+    opp_reach = np.bincount(tree.member_infoset, weights=muc[mn] * mopp,
+                            minlength=tree.num_infosets)
+    return own_reach, opp_reach
+
+
+def node_value_to_go(tree, flat, tau, alpha, family):
+    t = np.zeros(tree.num_nodes)
+    if tau != 0.0:
+        psis = psi_flat(tree, flat, alpha, family)
+        sgn = np.where(tree.infoset_owner[tree.member_infoset] == PLAYER1,
+                       -1.0, 1.0)
+        t[tree.member_node] = sgn * (tau * psis[tree.member_infoset])
+    t[tree.terminal_ids] = tree.terminal_utils
+    # Each edge's action (or chance) probability.
+    w = tree.edge_chance_prob.copy()
+    w[tree.dec_edge] = flat[tree.dec_pair]
+    for lo, hi in reversed(tree.edge_level_slices):
+        par = tree.edge_parent[lo:hi]
+        ch = tree.edge_child[lo:hi]
+        np.add.at(t, par, w[lo:hi] * t[ch])
+    return t
+
+
+def node_counterfactual_values(tree, reach, t):
+    mu1, mu2, _ = reach
+    par = tree.dec_parent
+    sign = tree.dec_sign
+    wpar = tree.dec_chance * np.where(sign > 0.0, mu2[par], mu1[par])
+    tval = sign * t[tree.dec_child]
+    return np.bincount(tree.dec_pair, weights=wpar * tval,
+                       minlength=tree.num_pairs)
+
+
+def node_feedback_flat(tree, flat, kind, tau=0.0, alpha=1.0, family=None):
+    reach = node_reach_flat(tree, flat)
+    t = node_value_to_go(tree, flat, tau, alpha, family)
+    cf_flat = node_counterfactual_values(tree, reach, t)
+    own_reach, opp_reach = node_infoset_reach(tree, reach)
+    m = multiplier(kind, own_reach, opp_reach)
+    if kind == CF:
+        q_flat = cf_flat
+    elif kind == QVALUE:
+        q_flat = cf_flat / np.repeat(opp_reach, tree.actions_per_infoset)
+    else:  # TRAJQ
+        q_flat = cf_flat * np.repeat(own_reach, tree.actions_per_infoset)
+    return q_flat, m, own_reach, opp_reach, cf_flat
+
+
+def node_expected_utility(tree, profile):
+    mu1, mu2, muc = node_reach_flat(tree, flatten_profile(tree, profile))
+    t = tree.terminal_ids
+    return float(np.sum(muc[t] * mu1[t] * mu2[t] * tree.terminal_utils))
+
+
+def _node_reg_best_response(tree, flat, reach, player, tau, alpha, family,
+                            gamma):
+    # The responder's own depth at each infoset, 0 at the opponent's.
+    depth = np.where(tree.infoset_owner == player, tree.own_depth, 0)
+    opp_reach = node_infoset_reach(tree, reach)[1]
+    for d in range(depth.max(), 0, -1):
+        cf = node_counterfactual_values(
+            tree, reach, node_value_to_go(tree, flat, tau, alpha, family))
+        for idx, pairs, NU in tree.row_groups:
+            sel = depth[idx] == d
+            if sel.any():
+                ids, P = idx[sel], pairs[sel]
+                flat[P] = argmax_batch(family, cf[P], tau * opp_reach[ids],
+                                       alpha[ids], gamma[ids], NU[sel])
+    root = node_value_to_go(tree, flat, tau, alpha, family)[tree.root]
+    return float(root if player == PLAYER1 else -root)
+
+
+def node_gap(tree, profile, tau=0.0, alpha=1.0, family=ENTROPY, gamma=0.0):
+    """`exploitability` at tau = 0 and gamma = 0, else
+    `perturbed_regularized_gap`."""
+    args = (tau, rate_array(tree, "alpha", alpha), family,
+            rate_array(tree, "gamma", gamma))
+    flat = flatten_profile(tree, profile)
+    reach = node_reach_flat(tree, flat)
+    return (_node_reg_best_response(tree, flat.copy(), reach, PLAYER1, *args)
+            + _node_reg_best_response(tree, flat, reach, PLAYER2, *args))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,53 @@ def test_member_arrays_and_infoset_depth_match_the_walk(game, request):
         assert got.tolist() == want
 
 
+@pytest.mark.parametrize("game", ["kuhn", "leduc", "pennies", "leduc-json",
+                                  "mixed_depth"])
+def test_gather_arrays_equal_their_definitions(game, request):
+    if game == "leduc-json":
+        tree = load_game(dump_game(request.getfixturevalue("leduc")))
+    else:
+        tree = request.getfixturevalue(game)
+    seq, muc = tree.node_seq, tree.chance_reach
+    dec_parent = tree.edge_parent[tree.dec_edge]
+    dec_row = np.asarray([tree.nodes[h].owner for h in dec_parent]) - PLAYER1
+    member_row = tree.infoset_owner[tree.member_infoset] - PLAYER1
+    # Entries above 1, so no chance probability equals one of them.
+    flat = np.arange(2.0, tree.num_pairs + 2.0)
+    edge_w, prob = [], []
+    for h, c in zip(tree.edge_parent, tree.edge_child):
+        n = tree.nodes[h]
+        a = n.children.index(c)
+        if n.is_chance:
+            prob.append(n.chance_probs[a])
+            edge_w.append(n.chance_probs[a])
+        else:
+            edge_w.append(flat[tree.infoset_offset[n.infoset] + a])
+    base = np.zeros(tree.num_nodes)
+    base[tree.terminal_ids] = tree.terminal_utils
+    want = {
+        "pair_owner": np.asarray([s.owner for s in tree.infosets])[
+            tree.pair_infoset],
+        "dec_opp_seq": seq[1 - dec_row, dec_parent],
+        "dec_weight": muc[dec_parent] * np.where(dec_row == 0, 1.0, -1.0),
+        "infoset_seq": seq[tree.infoset_owner - PLAYER1, tree.first_member],
+        "member_opp_seq": seq[1 - member_row, tree.member_node],
+        "member_chance": muc[tree.member_node],
+        "member_sign": np.where(member_row == 0, -1.0, 1.0),
+        "terminal_seq": seq[:, tree.terminal_ids],
+        "chance_edge_prob": prob,
+        "terminal_base": base,
+    }
+    for name, value in want.items():
+        got = getattr(tree, name)
+        assert got.shape == np.shape(value), name
+        assert np.array_equal(got, value), name
+        assert not got.flags.writeable, name
+    got = np.concatenate((flat, tree.chance_edge_prob))[tree.edge_src]
+    assert np.array_equal(got, edge_w)
+    assert not tree.edge_src.flags.writeable
+
+
 def test_node_and_infoset_hold_only_the_game_document():
     assert Node.__slots__ == ("owner", "infoset", "actions", "children",
                               "chance_probs", "utility")

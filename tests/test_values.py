@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
-from efglab.game import (PLAYER1, PLAYER2, dump_game, flatten_profile,
-                         load_game, random_profile, uniform_profile)
-from efglab.regularizers import ENTROPY, local_psi
-from efglab.values import (CF, QVALUE, TRAJQ, compute_feedback,
-                           estimate_trajectory_q, infoset_reach, multiplier,
-                           reach_flat, sample_trajectory)
-from oracles import (infoset_members, node_depths, opponent_reach,
-                     own_sequences, parent_links, reach_probabilities,
-                     to_sequence_form)
+from efglab.evaluate import exploitability, perturbed_regularized_gap
+from efglab.game import (PLAYER1, PLAYER2, dump_game, expected_utility,
+                         flatten_profile, load_game, random_profile,
+                         uniform_profile)
+from efglab.regularizers import ENTROPY, EUCLIDEAN, local_psi
+from efglab.values import (CF, FEEDBACK_KINDS, QVALUE, TRAJQ,
+                           compute_feedback, counterfactual_values,
+                           estimate_trajectory_q, feedback_flat,
+                           infoset_reach, multiplier, reach_flat,
+                           sample_trajectory, value_to_go)
+from oracles import (NodeLevelTree, infoset_members,
+                     node_counterfactual_values, node_depths,
+                     node_expected_utility, node_feedback_flat, node_gap,
+                     node_infoset_reach, node_reach_flat, node_value_to_go,
+                     opponent_reach, own_sequences, parent_links,
+                     reach_probabilities, to_sequence_form)
 
 
 # ---------------------------------------------------------------------------
@@ -28,22 +35,88 @@ def _profile_with_pure_rows(tree, rng):
     return prof
 
 
+def _game_tree(game, request):
+    """A fixture's tree, or for leduc-json Leduc through a JSON round trip."""
+    if game == "leduc-json":
+        return load_game(dump_game(request.getfixturevalue("leduc")))
+    return request.getfixturevalue(game)
+
+
 @pytest.mark.parametrize("game", ["kuhn", "leduc", "pennies", "leduc-json"])
 def test_reach_flat_is_bit_identical_to_node_oracle(game, request, rng):
-    if game == "leduc-json":
-        tree = load_game(dump_game(request.getfixturevalue("leduc")))
-    else:
-        tree = request.getfixturevalue(game)
+    tree = _game_tree(game, request)
     zeros = 0
     for _ in range(6):
         prof = _profile_with_pure_rows(tree, rng)
-        got = reach_flat(tree, flatten_profile(tree, prof))
+        got = (*reach_flat(tree, flatten_profile(tree, prof))[tree.node_seq],
+               tree.chance_reach)
         want = reach_probabilities(tree, prof)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         zeros += int(np.sum(got[0] == 0.0) + np.sum(got[1] == 0.0))
     assert zeros > 0
     assert not tree.chance_reach.flags.writeable
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got, dtype=np.float64).view(np.uint64),
+                          np.asarray(want, dtype=np.float64).view(np.uint64))
+
+
+@pytest.mark.parametrize("game", ["kuhn", "leduc", "pennies", "leduc-json",
+                                  "mixed_depth"])
+def test_sweeps_match_the_node_level_form_bit_for_bit(game, request, rng):
+    """Every sweep, feedback kind and evaluator gives the bits of the
+    oracles' node-level form, also where pure rows make some reach zero (q
+    and tq feedback then raise the same error; not in pennies, whose
+    infosets keep positive reach under any pure rows)."""
+    tree = _game_tree(game, request)
+    node = NodeLevelTree(tree)
+    alpha = rng.uniform(0.5, 2.0, tree.num_infosets)
+    zero_reach = raised = compared = 0
+    for prof in (uniform_profile(tree), random_profile(tree, rng),
+                 _profile_with_pure_rows(tree, rng),
+                 _profile_with_pure_rows(tree, rng)):
+        flat = flatten_profile(tree, prof)
+        x = reach_flat(tree, flat)
+        reach = node_reach_flat(node, flat)
+        for got, want in zip(x[tree.node_seq], reach[:2]):
+            assert _same_bits(got, want)
+        zero_reach += int(np.sum(x == 0.0))
+        for got, want in zip(infoset_reach(tree, x),
+                             node_infoset_reach(node, reach)):
+            assert _same_bits(got, want)
+        for tau, family in ((0.0, None), (0.05, ENTROPY), (0.05, EUCLIDEAN)):
+            t = value_to_go(tree, flat, tau, alpha, family)
+            assert _same_bits(t, node_value_to_go(node, flat, tau, alpha,
+                                                  family))
+            assert _same_bits(counterfactual_values(tree, x, t),
+                              node_counterfactual_values(node, reach, t))
+            for kind in FEEDBACK_KINDS:
+                try:
+                    want = node_feedback_flat(node, flat, kind, tau, alpha,
+                                              family)
+                except ValueError as e:
+                    with pytest.raises(ValueError) as got:
+                        feedback_flat(tree, flat, kind, tau, alpha, family)
+                    assert str(got.value) == str(e)
+                    raised += 1
+                    continue
+                for g, w in zip(feedback_flat(tree, flat, kind, tau, alpha,
+                                              family), want):
+                    assert _same_bits(g, w)
+                compared += 1
+        assert _same_bits(expected_utility(tree, flat),
+                          node_expected_utility(node, flat))
+        assert _same_bits(exploitability(tree, flat), node_gap(node, flat))
+        for family in (ENTROPY, EUCLIDEAN):
+            assert _same_bits(
+                perturbed_regularized_gap(tree, flat, 0.05, alpha, family,
+                                          0.1),
+                node_gap(node, flat, 0.05, alpha, family, 0.1))
+    assert zero_reach > 0 and compared > 0
+    if game != "pennies":
+        assert raised > 0
 
 
 # ---------------------------------------------------------------------------
